@@ -57,13 +57,15 @@ fresh record, writes the rendered diff to
 ``benchmarks/results/BENCH_history_diff.txt``, and exits nonzero on any
 regressed metric.  Under ``--check-only`` the compared metrics come
 from the *committed* ``BENCH_*.json`` files rather than fresh timing,
-so the verdict is deterministic on loaded CI machines.
+so the verdict is deterministic on loaded CI machines, and nothing is
+appended: history rows come only from timed runs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -941,13 +943,18 @@ def check_metrics_registry(timed: bool = True) -> dict:
     return report
 
 
-def check_bench_history(against: str, metrics: dict, out_dir: str) -> bool:
+def check_bench_history(
+    against: str, metrics: dict, out_dir: str, record: bool = True
+) -> bool:
     """Gate ``metrics`` against the rolling-median history at ``against``.
 
-    Prints the rendered diff, mirrors it to
-    ``<out_dir>/BENCH_history_diff.txt`` (a CI artifact), and appends the
-    current record so the baseline tracks the trajectory.  Returns False
-    when any metric regressed.
+    Prints the rendered diff and mirrors it to
+    ``<out_dir>/BENCH_history_diff.txt`` (a CI artifact).  With
+    ``record`` (timed runs only) the current record is appended, stamped
+    with the host's ``nproc`` and python/numpy versions, so the baseline
+    tracks the trajectory; ``--check-only`` gates committed
+    numbers and must not feed them back into their own baseline.
+    Returns False when any metric regressed.
     """
     from repro.obs import BenchHistory
 
@@ -963,7 +970,15 @@ def check_bench_history(against: str, metrics: dict, out_dir: str) -> bool:
     with open(diff_path, "w", encoding="utf-8") as f:
         f.write(diff + "\n")
     print(f"wrote {diff_path}")
-    history.append(metrics)
+    if record:
+        history.append(
+            metrics,
+            extra={
+                "nproc": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+        )
     return not any(v.regressed for v in verdicts)
 
 
@@ -1019,14 +1034,15 @@ def main(argv=None) -> int:
         # deterministic, so safe on loaded CI machines where the timing
         # gates would flake.  Writes no BENCH result files; with
         # --against it gates the *committed* BENCH_*.json metrics
-        # against the history instead of fresh (load-sensitive) timing.
+        # against the history instead of fresh (load-sensitive) timing,
+        # without appending them to it.
         ok = run_functional_checks()
         if against is not None:
             from repro.obs.bench_history import metrics_from_bench_dir
 
             metrics_dir = against if os.path.isdir(against) else out_dir
             metrics = metrics_from_bench_dir(metrics_dir)
-            if not check_bench_history(against, metrics, out_dir):
+            if not check_bench_history(against, metrics, out_dir, record=False):
                 ok = False
         return 0 if ok else 1
 

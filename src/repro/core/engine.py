@@ -8,7 +8,11 @@ quanta (DESIGN.md section 4).  Within each quantum:
    inbox, resolves vertex accesses through its direct-mapped cache
    (misses and dirty write-backs charge the PE's HBM channel), applies
    the workload's reduce, and reports newly activated vertices to the
-   tracker.
+   tracker.  The cache array resolves the whole cross-PE access stream
+   with one stable sort by flat set index, on a ``uint16`` key (numpy's
+   radix sort) whenever the array has at most 65,536 sets in total, then
+   counts misses and write-backs per set run from the tenancy ids that
+   run spans (:mod:`repro.memory.cache`).
 2. **VMU phase** -- every PE whose active buffer is running low selects
    non-empty superblocks in cursor rotation and scans them, charging
    useful reads for active blocks and wasteful reads for the inactive

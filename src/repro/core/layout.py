@@ -30,6 +30,9 @@ class VertexMemoryLayout:
         self.vertices_per_block = config.vertices_per_block
         self.superblock_dim = config.superblock_dim
 
+        #: Local block index of every vertex (``local_id // vertices_per_block``).
+        self.block_index = placement.local_id // self.vertices_per_block
+
         counts = placement.vertices_per_pe()
         self.vertices_on_pe = counts
         #: Blocks needed per PE (sized by the largest shard so every PE's
@@ -60,7 +63,7 @@ class VertexMemoryLayout:
 
     def block_of(self, vertices: np.ndarray) -> np.ndarray:
         """Local block index (within the owning PE's channel)."""
-        return self.placement.local_id[vertices] // self.vertices_per_block
+        return self.block_index[vertices]
 
     def superblock_of(self, vertices: np.ndarray) -> np.ndarray:
         return self.block_of(vertices) // self.superblock_dim

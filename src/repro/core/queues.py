@@ -252,44 +252,45 @@ class PooledMessageQueue:
         if budget <= 0 or not self._sizes.any():
             return empty, empty.copy(), np.empty(0)
         remaining = np.minimum(self._sizes, budget)
-        pe_parts: List[np.ndarray] = []
-        dest_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        pe_ids = np.arange(self.num_pes, dtype=np.int64)
-        popped = np.zeros(self.num_pes, dtype=np.int64)
+        popped = remaining.copy()
+        total = int(popped.sum())
+        # Output slot of each PE's next message: its PE-major offset plus
+        # what earlier batches already gave it.
+        slot = np.zeros(self.num_pes, dtype=np.int64)
+        np.cumsum(popped[:-1], out=slot[1:])
+        parts: List[Tuple[np.ndarray, ...]] = []
         for batch in self._batches:
             if not remaining.any():
                 break
             dest, values, offsets, consumed = batch
             avail = (offsets[1:] - offsets[:-1]) - consumed
             take = np.minimum(avail, remaining)
-            total = int(take.sum())
-            if total == 0:
+            count = int(take.sum())
+            if count == 0:
                 continue
-            idx = _ragged_arange(offsets[:-1] + consumed, take, total)
-            pe_parts.append(np.repeat(pe_ids, take))
-            dest_parts.append(dest[idx])
-            val_parts.append(values[idx])
+            idx = _ragged_arange(offsets[:-1] + consumed, take, count)
+            parts.append((slot.copy(), take, count, dest[idx], values[idx]))
             consumed += take
             remaining -= take
-            popped += take
+            slot += take
+        if remaining.any():
+            raise SimulationError("queue sizes diverged from queued batches")
         while self._batches:
             _, _, offsets, consumed = self._batches[0]
             if int(consumed.sum()) != int(offsets[-1]):
                 break
             self._batches.popleft()
-        if not pe_parts:
-            return empty, empty.copy(), np.empty(0)
         self._sizes -= popped
-        self.popped += int(popped.sum())
-        if len(pe_parts) == 1:
-            pes, dest, values = pe_parts[0], dest_parts[0], val_parts[0]
-        else:
-            pes = np.concatenate(pe_parts)
-            dest = np.concatenate(dest_parts)
-            values = np.concatenate(val_parts)
-            order = np.argsort(pes.astype(np.uint16), kind="stable")
-            pes, dest, values = pes[order], dest[order], values[order]
+        self.popped += total
+        pes = np.repeat(np.arange(self.num_pes, dtype=np.int64), popped)
+        if len(parts) == 1:
+            return pes, parts[0][3], parts[0][4]
+        dest = np.empty(total, dtype=np.result_type(*(p[3] for p in parts)))
+        values = np.empty(total, dtype=np.result_type(*(p[4] for p in parts)))
+        for start, take, count, part_dest, part_values in parts:
+            out_idx = _ragged_arange(start, take, count)
+            dest[out_idx] = part_dest
+            values[out_idx] = part_values
         return pes, dest, values
 
 

@@ -59,6 +59,8 @@ class TrackerModule:
         self.block_counted = np.zeros(
             (num_pes, layout.blocks_per_pe), dtype=bool
         )
+        #: Scratch for :meth:`track`'s sort-free deduplication.
+        self._stamp = np.zeros(num_pes * layout.blocks_per_pe, dtype=np.intp)
         self._cursor = np.zeros(num_pes, dtype=np.int64)
         self.superblock_dim = layout.superblock_dim
         self.chunk_blocks = layout.config.prefetch_chunk_blocks
@@ -82,19 +84,25 @@ class TrackerModule:
         """
         if vertices.shape[0] == 0:
             return 0
-        pes = self.layout.pe_of(vertices)
-        blocks = self.layout.block_of(vertices)
-        keys = np.unique(pes * self.layout.blocks_per_pe + blocks)
-        key_pes = keys // self.layout.blocks_per_pe
-        key_blocks = keys % self.layout.blocks_per_pe
-        fresh = ~self.block_counted[key_pes, key_blocks]
-        key_pes, key_blocks = key_pes[fresh], key_blocks[fresh]
-        if key_blocks.shape[0] == 0:
+        blocks_per_pe = self.layout.blocks_per_pe
+        keys = (
+            self.layout.pe_of(vertices) * blocks_per_pe
+            + self.layout.block_of(vertices)
+        )
+        counted = self.block_counted.reshape(-1)
+        keys = keys[~counted[keys]]
+        if keys.shape[0] == 0:
             return 0
-        self.block_counted[key_pes, key_blocks] = True
-        superblocks = key_blocks // self.superblock_dim
+        # Deduplicate without sorting: exactly one position per key keeps
+        # its stamp.  Counter updates are integer adds, so order is moot.
+        positions = np.arange(keys.shape[0])
+        self._stamp[keys] = positions
+        keys = keys[self._stamp[keys] == positions]
+        counted[keys] = True
+        key_pes = keys // blocks_per_pe
+        superblocks = (keys - key_pes * blocks_per_pe) // self.superblock_dim
         np.add.at(self.counters, (key_pes, superblocks), 1)
-        return int(key_blocks.shape[0])
+        return int(keys.shape[0])
 
     # ------------------------------------------------------------------
     # Retrieval (called from the VMU prefetch side)

@@ -11,14 +11,24 @@ accesses tagged with (pe, block) resolves in a handful of numpy
 operations while reproducing in-order scalar cache semantics
 bit-for-bit:
 
-- Accesses are stably sorted by (pe, set).  Within one set's run, an
-  access hits iff the immediately preceding access in the run touched the
-  same block; the first access of a run consults the persistent tag
-  store.
-- Each maximal run of identical blocks within a set is a *tenancy*.  A
-  tenancy is dirty iff it inherited a dirty line (persistent-hit tenancy)
-  or any access in it was a write.  A miss that begins a new tenancy
-  writes back the previous tenancy's line iff that tenancy was dirty.
+- Accesses are stably sorted by their flat set index
+  ``pe * num_sets + block % num_sets``.  While the array has at most
+  65,536 sets in total (``NARROW_KEY_SETS``), as scaled configs do, the
+  sort key is a ``uint16`` copy of that index, which numpy radix-sorts;
+  larger arrays, such as Fig 9a's 4 MiB/PE caches, sort the ``int64``
+  index.  A stable sort gives the same permutation either way.
+- Within one set's run, an access hits iff the immediately preceding
+  access in the run touched the same block; the first access of a run
+  consults the persistent tag store.
+- Each maximal run of identical blocks within a set is a *tenancy*,
+  numbered in sorted order from the positions where tenancies start.  A
+  set's run spans a contiguous range of tenancy ids, found by locating
+  each run head among those positions, so all further bookkeeping is per
+  run rather than per access.  A tenancy is dirty iff it inherited a
+  dirty line (persistent-hit tenancy) or any access in it was a write;
+  a scalar ``writes`` makes that a constant with no per-access reduce.
+  A miss that begins a new tenancy writes back the previous tenancy's
+  line iff that tenancy was dirty.
 
 :class:`DirectMappedCache` is the single-cache convenience wrapper.
 """
@@ -30,6 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+
+#: Largest total set count (caches x sets) whose set index fits the
+#: ``uint16`` sort key of :meth:`CacheArray.access`.
+NARROW_KEY_SETS = 1 << 16
 
 
 @dataclass
@@ -79,6 +93,9 @@ class CacheArray:
         total_sets = num_caches * self.num_sets
         self._tags = np.full(total_sets, self._INVALID, dtype=np.int64)
         self._dirty = np.zeros(total_sets, dtype=bool)
+        #: Sort-key dtype of :meth:`access`: 16 bits whenever every set
+        #: index fits, so numpy radix-sorts instead of running timsort.
+        self._key_dtype = np.uint16 if total_sets <= NARROW_KEY_SETS else np.int64
         self.lifetime_hits = 0
         self.lifetime_misses = 0
         self.lifetime_writebacks = 0
@@ -110,83 +127,83 @@ class CacheArray:
             return CacheArrayResult(0, 0, 0, zeros, zeros.copy())
         if caches.size and (caches.min() < 0 or caches.max() >= self.num_caches):
             raise ConfigError("cache index out of range")
-        if np.isscalar(writes) or isinstance(writes, (bool, np.bool_)):
-            writes = np.full(n, bool(writes), dtype=bool)
-        else:
+        uniform_writes = np.isscalar(writes) or isinstance(writes, (bool, np.bool_))
+        if not uniform_writes:
             writes = np.asarray(writes, dtype=bool)
             if writes.shape != blocks.shape:
                 raise ConfigError("writes must match blocks in shape")
 
-        sets = caches * self.num_sets + blocks % self.num_sets
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
+        # Sort key: the flat set index ``cache * num_sets + block % num_sets``.
+        # A stable sort yields one permutation whatever the key's dtype,
+        # and numpy radix-sorts 16-bit keys instead of running timsort.
+        num_sets = self.num_sets
+        key = (blocks % num_sets).astype(self._key_dtype, copy=False)
+        key += (caches * num_sets).astype(self._key_dtype, copy=False)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
         sorted_blocks = blocks[order]
-        sorted_writes = writes[order]
-        sorted_caches = caches[order]
 
+        # Runs of accesses to one set: head (first) and tail (last) positions.
         first_of_set = np.empty(n, dtype=bool)
         first_of_set[0] = True
-        first_of_set[1:] = sorted_sets[1:] != sorted_sets[:-1]
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first_of_set[1:])
+        head_idx = np.flatnonzero(first_of_set)
+        tail_idx = np.empty_like(head_idx)
+        tail_idx[:-1] = head_idx[1:] - 1
+        tail_idx[-1] = n - 1
+        run_sets = sorted_key[head_idx].astype(np.intp)
 
-        hits = np.empty(n, dtype=bool)
-        # Continuation accesses hit iff they repeat the previous block.
-        cont = ~first_of_set
-        hits[cont] = sorted_blocks[1:][cont[1:]] == sorted_blocks[:-1][cont[1:]]
-        # Run-leading accesses consult the persistent tag store.
-        lead_sets = sorted_sets[first_of_set]
-        hits[first_of_set] = self._tags[lead_sets] == sorted_blocks[first_of_set]
-
-        # A tenancy begins at every miss and at every persistent hit that
-        # leads a run (continuing a line resident before the batch).
-        tenancy_start = ~hits | first_of_set
+        # Each maximal run of one block within a set is a tenancy.  Inside a
+        # run a new tenancy starts wherever the block changes (a miss); a
+        # run head always starts one, missing unless the persistent tag
+        # store already holds its block.
+        tenancy_start = np.empty(n, dtype=bool)
+        np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=tenancy_start[1:])
+        tenancy_start[head_idx] = True
         start_idx = np.flatnonzero(tenancy_start)
-        seg_writes = np.logical_or.reduceat(sorted_writes, start_idx)
-        inherited = np.zeros(start_idx.shape[0], dtype=bool)
-        lead_hit_positions = np.flatnonzero(first_of_set & hits)
-        if lead_hit_positions.size:
-            match = np.searchsorted(start_idx, lead_hit_positions)
-            inherited[match] = self._dirty[sorted_sets[lead_hit_positions]]
-        seg_dirty = inherited | seg_writes
+        num_tenancies = start_idx.shape[0]
+        run_tags = self._tags[run_sets]
+        run_dirty = self._dirty[run_sets]
+        head_hit = run_tags == sorted_blocks[head_idx]
+        # Tenancy ids of each run's first and last tenancy.
+        first_t = np.searchsorted(start_idx, head_idx)
+        last_t = np.empty_like(first_t)
+        last_t[:-1] = first_t[1:] - 1
+        last_t[-1] = num_tenancies - 1
 
-        # Write-backs: a miss evicts the previous tenancy of its set if
-        # that tenancy was dirty -- either the persistent line (miss at a
-        # run head) or the in-batch tenancy immediately before it.
-        miss_at_head = first_of_set & ~hits
-        head_positions = np.flatnonzero(miss_at_head)
-        head_sets = sorted_sets[head_positions]
-        head_wb = (self._tags[head_sets] != self._INVALID) & self._dirty[head_sets]
-        wb_caches = [sorted_caches[head_positions][head_wb]]
+        # A tenancy is dirty iff any access in it writes or it continues a
+        # dirty line resident before the batch (a run head that hits).
+        if uniform_writes:
+            seg_dirty = np.full(num_tenancies, bool(writes), dtype=bool)
+        else:
+            seg_dirty = np.logical_or.reduceat(writes[order], start_idx)
+        seg_dirty[first_t[head_hit]] |= run_dirty[head_hit]
+        final_dirty = seg_dirty[last_t]
 
-        miss_inside = ~first_of_set & ~hits
-        inside_positions = np.flatnonzero(miss_inside)
-        if inside_positions.size:
-            prev_seg = (
-                np.searchsorted(start_idx, inside_positions - 1, side="right") - 1
-            )
-            evicting = seg_dirty[prev_seg]
-            wb_caches.append(sorted_caches[inside_positions][evicting])
-        all_wb_caches = np.concatenate(wb_caches)
-        writebacks = int(all_wb_caches.shape[0])
+        # Every tenancy start misses except a hitting run head.  A miss
+        # writes back the line it evicts iff that line is dirty: the
+        # persistent line for a run head, else the run's previous tenancy,
+        # so a run's in-batch write-backs are its dirty non-last tenancies.
+        run_misses = last_t - first_t + 1 - head_hit
+        run_writebacks = np.add.reduceat(seg_dirty, first_t, dtype=np.int64)
+        run_writebacks -= final_dirty
+        run_writebacks += ~head_hit & (run_tags != self._INVALID) & run_dirty
 
         # Persist final state: the last tenancy of each set run survives.
-        run_last = np.empty(n, dtype=bool)
-        run_last[-1] = True
-        run_last[:-1] = sorted_sets[1:] != sorted_sets[:-1]
-        last_positions = np.flatnonzero(run_last)
-        last_sets = sorted_sets[last_positions]
-        last_seg = np.searchsorted(start_idx, last_positions, side="right") - 1
-        self._tags[last_sets] = sorted_blocks[last_positions]
-        self._dirty[last_sets] = seg_dirty[last_seg]
+        self._tags[run_sets] = sorted_blocks[tail_idx]
+        self._dirty[run_sets] = final_dirty
 
-        hit_count = int(np.count_nonzero(hits))
-        miss_count = n - hit_count
+        run_caches = run_sets // num_sets
+        misses_per_cache = np.zeros(self.num_caches, dtype=np.int64)
+        np.add.at(misses_per_cache, run_caches, run_misses)
+        writebacks_per_cache = np.zeros(self.num_caches, dtype=np.int64)
+        np.add.at(writebacks_per_cache, run_caches, run_writebacks)
+        miss_count = int(misses_per_cache.sum())
+        writebacks = int(writebacks_per_cache.sum())
+        hit_count = n - miss_count
         self.lifetime_hits += hit_count
         self.lifetime_misses += miss_count
         self.lifetime_writebacks += writebacks
-        misses_per_cache = np.bincount(
-            sorted_caches[~hits], minlength=self.num_caches
-        )
-        writebacks_per_cache = np.bincount(all_wb_caches, minlength=self.num_caches)
         return CacheArrayResult(
             hits=hit_count,
             misses=miss_count,

@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.layout import VertexMemoryLayout
-from repro.graph.partition import interleave_placement, random_placement
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat
+from repro.graph.partition import (
+    interleave_placement,
+    locality_placement,
+    random_placement,
+)
 from repro.sim.config import scaled_config
 
 
@@ -38,6 +44,36 @@ class TestGeometry:
         assert np.array_equal(
             layout.pe_of(vertices), layout.placement.owner[vertices]
         )
+
+
+def _chunked_edgeless(num_pes):
+    # No edges: the locality mapping cuts the order into equal chunks.
+    empty = np.empty(0, dtype=np.int64)
+    return locality_placement(CSRGraph.from_edges(empty, empty, 333), num_pes)
+
+
+class TestBlockIndex:
+    @pytest.mark.parametrize(
+        "make_placement",
+        [
+            lambda p: interleave_placement(333, p),
+            lambda p: random_placement(333, p, seed=4),
+            lambda p: locality_placement(rmat(9, 4, seed=2), p),
+            _chunked_edgeless,
+        ],
+        ids=["interleaved", "random", "chunked-locality", "chunked-edgeless"],
+    )
+    @pytest.mark.parametrize("vertex_bytes", [16, 8])
+    def test_precomputed_block_index(self, make_placement, vertex_bytes):
+        cfg = scaled_config(num_gpns=2, scale=1 / 1024).with_updates(
+            vertex_bytes=vertex_bytes  # 2 or 4 vertices per block
+        )
+        placement = make_placement(cfg.num_pes)
+        layout = VertexMemoryLayout(placement, cfg)
+        expected = placement.local_id // cfg.vertices_per_block
+        assert np.array_equal(layout.block_index, expected)
+        vertices = np.arange(placement.num_vertices)[::-1]
+        assert np.array_equal(layout.block_of(vertices), expected[vertices])
 
 
 class TestGlobalLookup:

@@ -20,6 +20,7 @@ from repro.core.queues import (
     PooledMessageQueue,
     PooledPendingWork,
 )
+from repro.errors import SimulationError
 
 P = 5
 
@@ -84,6 +85,13 @@ class TestPooledMessageQueue:
         pooled.push_sorted(np.zeros(1, dtype=np.int64), np.array([12]), np.zeros(1))
         _, dest, _ = pooled.pop_all(10)
         assert list(dest) == [10, 11, 12]
+
+    def test_size_counter_divergence_is_detected(self):
+        pooled = PooledMessageQueue(2)
+        pooled.push_sorted(np.array([0, 1]), np.array([5, 6]), np.zeros(2))
+        pooled.sizes[1] += 1  # counter claims a message no batch holds
+        with pytest.raises(SimulationError):
+            pooled.pop_all(4)
 
 
 class TestPooledPendingWork:

@@ -147,3 +147,55 @@ class TestPropertyBased:
             block = int(layout.block_of(np.array([v]))[0])
             expected_blocks.add((pe, block))
         assert tracker.counters.sum() == len(expected_blocks)
+
+
+def unique_reference_track(tracker, counters, counted, vertices):
+    """The ``np.unique``-based tracking rule, applied to copies of state."""
+    layout = tracker.layout
+    pes = layout.placement.owner[vertices]
+    blocks = layout.placement.local_id[vertices] // layout.vertices_per_block
+    keys = np.unique(pes * layout.blocks_per_pe + blocks)
+    key_pes = keys // layout.blocks_per_pe
+    key_blocks = keys % layout.blocks_per_pe
+    fresh = ~counted[key_pes, key_blocks]
+    key_pes, key_blocks = key_pes[fresh], key_blocks[fresh]
+    counted[key_pes, key_blocks] = True
+    np.add.at(counters, (key_pes, key_blocks // tracker.superblock_dim), 1)
+    return int(key_blocks.shape[0])
+
+
+class TestTrackMatchesUniqueReference:
+    @given(
+        batches=st.lists(
+            st.lists(
+                # A narrow id range forces repeated vertices, many vertices
+                # per block, and blocks already counted by earlier batches.
+                st.integers(0, 199),
+                min_size=0,
+                max_size=60,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        superblock_dim=st.sampled_from([1, 4, 8]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_track_matches_unique(self, batches, superblock_dim):
+        tracker, _ = make_tracker(num_vertices=200, superblock_dim=superblock_dim)
+        counters = tracker.counters.copy()
+        counted = tracker.block_counted.copy()
+        for batch in batches:
+            vertices = np.asarray(batch, dtype=np.int64)
+            expected = unique_reference_track(tracker, counters, counted, vertices)
+            assert tracker.track(vertices) == expected
+            assert np.array_equal(tracker.counters, counters)
+            assert np.array_equal(tracker.block_counted, counted)
+        tracker.check_invariants()
+
+    def test_repeats_within_and_across_batches(self):
+        tracker, _ = make_tracker()
+        # Vertices 0 and 8 share PE 0's block 0; 0 repeats in the batch.
+        assert tracker.track(np.array([0, 8, 0, 8, 0])) == 1
+        assert tracker.track(np.array([8, 16, 16, 24])) == 1  # block 1 only
+        assert tracker.counters[0].sum() == 2
+        tracker.check_invariants()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.memory.cache import CacheArray, DirectMappedCache
+from repro.memory.cache import NARROW_KEY_SETS, CacheArray, DirectMappedCache
 
 
 class ScalarCache:
@@ -32,6 +32,48 @@ class ScalarCache:
             self.dirty[s] = False
         if write:
             self.dirty[s] = True
+
+    def state(self):
+        """(tags, dirty) in CacheArray's encoding: -1 marks an empty set."""
+        tags = [-1 if t is None else t for t in self.tags]
+        return tags, [d and t is not None for t, d in zip(self.tags, self.dirty)]
+
+
+def check_batches_against_scalars(array, batches, writes_mode):
+    """Replay ``batches`` of (caches, blocks, writes) on ``array`` and on
+    one :class:`ScalarCache` per cache, comparing after every batch.
+
+    ``writes_mode`` is ``"array"`` (per-access flags) or a bool passed
+    as the scalar ``writes`` argument.
+    """
+    refs = [ScalarCache(array.num_sets) for _ in range(array.num_caches)]
+    for caches, blocks, writes in batches:
+        if writes_mode != "array":
+            writes = [writes_mode] * len(blocks)
+        before = [(r.misses, r.writebacks) for r in refs]
+        result = array.access(
+            np.asarray(caches, dtype=np.int64),
+            np.asarray(blocks, dtype=np.int64),
+            np.asarray(writes, dtype=bool) if writes_mode == "array" else writes_mode,
+        )
+        for c, b, w in zip(caches, blocks, writes):
+            refs[c].access(b, w)
+        misses = [r.misses - m for r, (m, _) in zip(refs, before)]
+        writebacks = [r.writebacks - wb for r, (_, wb) in zip(refs, before)]
+        assert result.misses_per_cache.tolist() == misses
+        assert result.writebacks_per_cache.tolist() == writebacks
+        assert result.misses == sum(misses)
+        assert result.writebacks == sum(writebacks)
+        assert result.hits == len(blocks) - sum(misses)
+        tags = array._tags.reshape(array.num_caches, array.num_sets)
+        dirty = array._dirty.reshape(array.num_caches, array.num_sets)
+        for c, ref in enumerate(refs):
+            ref_tags, ref_dirty = ref.state()
+            assert tags[c].tolist() == ref_tags
+            assert dirty[c].tolist() == ref_dirty
+    assert array.lifetime_hits == sum(r.hits for r in refs)
+    assert array.lifetime_misses == sum(r.misses for r in refs)
+    assert array.lifetime_writebacks == sum(r.writebacks for r in refs)
 
 
 class TestBasics:
@@ -168,3 +210,65 @@ class TestAgainstScalarReference:
         assert array.lifetime_hits == sum(r.hits for r in refs)
         assert array.lifetime_misses == sum(r.misses for r in refs)
         assert array.lifetime_writebacks == sum(r.writebacks for r in refs)
+
+
+WRITES_MODES = st.sampled_from(["array", True, False])
+
+# 3 caches x 32,768 sets: set indices overflow a 16-bit sort key.
+WIDE_SETS = 32768
+WIDE_BLOCKS = [
+    s + k * WIDE_SETS
+    for s in (0, 1, 12345, WIDE_SETS - 2, WIDE_SETS - 1)
+    for k in range(3)
+]
+
+
+@st.composite
+def multi_cache_batches(draw, num_caches, block_values):
+    """Batches of (caches, blocks, writes) over a fixed pool of blocks."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 50))
+        caches = draw(st.lists(st.integers(0, num_caches - 1), min_size=n, max_size=n))
+        blocks = draw(st.lists(st.sampled_from(block_values), min_size=n, max_size=n))
+        writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        batches.append((caches, blocks, writes))
+    return batches
+
+
+class TestPerBatchAgainstScalarReference:
+    """Per-cache counts and persistent tag/dirty state after every batch."""
+
+    @given(multi_cache_batches(3, list(range(40))), WRITES_MODES)
+    @settings(max_examples=80, deadline=None)
+    def test_narrow_key_array(self, batches, writes_mode):
+        array = CacheArray(3, 8 * 32, 32)
+        assert array.num_caches * array.num_sets <= NARROW_KEY_SETS
+        check_batches_against_scalars(array, batches, writes_mode)
+
+    @given(multi_cache_batches(3, WIDE_BLOCKS), WRITES_MODES)
+    @settings(max_examples=30, deadline=None)
+    def test_wide_key_array(self, batches, writes_mode):
+        array = CacheArray(3, WIDE_SETS * 32, 32)
+        assert array.num_caches * array.num_sets > NARROW_KEY_SETS
+        check_batches_against_scalars(array, batches, writes_mode)
+
+    def test_wide_key_orders_sets_past_16_bits(self):
+        # Cache 2's set 1 is flat set 65,537, which a truncated 16-bit
+        # key would fold onto cache 0's set 1.
+        array = CacheArray(3, WIDE_SETS * 32, 32)
+        caches = [2, 0, 1, 2, 0]
+        blocks = [1, 1, WIDE_SETS - 1, 1 + WIDE_SETS, 1]
+        check_batches_against_scalars(
+            array, [(caches, blocks, [True, False, True, False, True])], "array"
+        )
+
+    @pytest.mark.parametrize("writes_mode", ["array", True, False])
+    def test_dirty_lines_survive_scalar_writes_modes(self, writes_mode):
+        array = CacheArray(2, 4 * 32, 32)
+        batches = [
+            ([0, 0, 1, 1], [1, 5, 2, 2], [True, False, True, True]),
+            ([0, 1, 1, 0], [5, 6, 2, 1], [False, False, True, False]),
+            ([1, 0, 0], [2, 1, 9], [False, True, False]),
+        ]
+        check_batches_against_scalars(array, batches, writes_mode)

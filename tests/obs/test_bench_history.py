@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -181,3 +183,58 @@ class TestEndToEnd:
             "hotpath.bfs.vectorized_quanta_per_sec"
         ]
         assert "REGRESSED" in history.render(verdicts)
+
+
+PERF_SMOKE = (
+    pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "perf_smoke.py"
+)
+
+
+@pytest.fixture(scope="module")
+def perf_smoke():
+    spec = importlib.util.spec_from_file_location("perf_smoke", PERF_SMOKE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfSmokeCheckOnly:
+    """``--check-only`` gates committed numbers but never records them."""
+
+    def test_check_only_leaves_history_byte_identical(self, perf_smoke, tmp_path):
+        history_path = tmp_path / "hist.jsonl"
+        history = BenchHistory(str(history_path))
+        for i in range(3):
+            history.append({"hotpath.bfs.speedup": 2.5 + 0.1 * i}, sha=f"s{i}")
+        before = history_path.read_bytes()
+        ok = perf_smoke.check_bench_history(
+            str(history_path),
+            {"hotpath.bfs.speedup": 2.6},
+            str(tmp_path / "out"),
+            record=False,
+        )
+        assert ok
+        assert history_path.read_bytes() == before
+        assert (tmp_path / "out" / "BENCH_history_diff.txt").exists()
+
+    def test_timed_run_appends(self, perf_smoke, tmp_path):
+        history_path = tmp_path / "hist.jsonl"
+        perf_smoke.check_bench_history(
+            str(history_path), {"hotpath.bfs.speedup": 2.6}, str(tmp_path)
+        )
+        [record] = BenchHistory(str(history_path)).records()
+        assert record["nproc"] == os.cpu_count()
+        assert {"python", "numpy", "sha"} <= set(record)
+
+    def test_main_check_only_does_not_record(
+        self, perf_smoke, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(perf_smoke, "run_functional_checks", lambda: True)
+        monkeypatch.setattr(
+            perf_smoke,
+            "check_bench_history",
+            lambda *args, **kwargs: calls.append(kwargs) or True,
+        )
+        assert perf_smoke.main(["--check-only", "--against", str(tmp_path)]) == 0
+        assert calls == [{"record": False}]
