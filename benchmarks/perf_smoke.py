@@ -42,12 +42,10 @@ interleaves bare vs seam-instrumented NovaSystem rounds and gates the
 per-job MetricsRegistry cost on ``OBS_MAX_OVERHEAD``, merged into
 ``BENCH_obs.json`` under ``metrics_registry``.
 
-Batched sweep execution: a batched 2-worker sweep must be bit-identical
-to the unbatched sweep with every cell flushed worker-side
-(deterministic, part of ``--check-only``); the full run additionally
-times cold-cache batched-vs-unbatched sweeps of a 128-cell same-graph
-grid, gates the median paired speedup on ``BATCH_MIN_SPEEDUP``, and
-writes ``benchmarks/results/BENCH_batch.json``.
+Grouped sweep execution: a 2-worker sweep, whose cells dispatch as
+graph-grouped pool tasks, must be bit-identical to the inline
+single-worker sweep with every cell flushed worker-side (deterministic,
+part of ``--check-only`` and of the full run).
 
 Regression tracking: ``--against <path>`` compares this invocation's
 metrics to the rolling-median baseline kept in an append-only
@@ -80,8 +78,6 @@ from repro.runner import RunSpec, SweepRunner
 
 MIN_SPEEDUP = 2.0
 MIN_MAP_SPEEDUP = 2.0  # mapping a stored graph must beat rebuilding it
-BATCH_MIN_SPEEDUP = 1.5  # batched sweep vs per-cell dispatch, cold caches
-BATCH_ROUNDS = 5  # interleaved unbatched/batched rounds per attempt
 STREAM_MIN_SPEEDUP = 3.0  # incremental PR vs cold recompute, small deltas
 OBS_MAX_OVERHEAD = 0.03  # NullRecorder may cost <3% vs the committed baseline
 GATE_ATTEMPTS = 3  # re-measure a failing overhead gate before declaring it real
@@ -472,16 +468,13 @@ def check_graph_store(timed: bool = True) -> dict:
     return report
 
 
-def _batch_grid(n: int = 128):
-    """A same-graph source sweep whose cells isolate dispatch overhead.
+def _batch_grid(n: int = 6):
+    """A same-graph source sweep of single-quantum BFS cells.
 
-    One shared in-memory graph, one config, and single-quantum BFS
-    cells (sources are sink vertices, so each run converges in one
-    quantum): every cell is a distinct cache key but shares the
-    (graph, config, placement) system.  Minimal per-cell compute makes
-    this a microbenchmark of exactly what the batched executor
-    amortizes -- one task dispatch, spec pickle, and system resolve per
-    chunk instead of per cell.
+    One shared in-memory graph and one config; sources are sink
+    vertices, so each run converges in one quantum.  Every cell is a
+    distinct cache key on the same graph, so the cells group into
+    pool tasks.
     """
     graph = rmat(9, 8, seed=5)
     config = scaled_config(num_gpns=1, scale=1.0 / 256.0)
@@ -491,103 +484,41 @@ def _batch_grid(n: int = 128):
     ]
 
 
-def check_batch(timed: bool = True) -> dict:
-    """Exercise batched same-graph sweep execution end to end.
+def check_batch() -> dict:
+    """Exercise grouped sweep execution end to end (deterministic).
 
-    Functional half (always, deterministic): a batched 2-worker sweep
-    returns bit-identical results to the unbatched sweep of the same
-    grid, and every batched cell was flushed to the cache worker-side
+    A 2-worker sweep, whose cells run as graph-grouped pool tasks,
+    returns bit-identical results to the inline ``workers=1`` sweep of
+    the same grid, and every cell was flushed to the cache worker-side
     (the rerun resolves entirely from cache).
-
-    Timing half (skipped under ``--check-only``): interleaved
-    cold-cache rounds of the unbatched vs batched executor over a
-    128-cell same-graph grid; the median per-round ratio must clear
-    ``BATCH_MIN_SPEEDUP``.  Like the observability gate, a failing
-    measurement is re-taken up to ``GATE_ATTEMPTS`` times and the best
-    attempt kept -- scheduler noise on a loaded machine mostly slows
-    one side of a single round, while a real regression persists.
     """
-    from repro.runner import RunFailure
-
     report = {"ok": True}
-
-    specs = _batch_grid(n=6)
+    specs = _batch_grid()
     with tempfile.TemporaryDirectory() as tmp:
-        unbatched, _ = SweepRunner(
-            workers=2, cache_dir=os.path.join(tmp, "a"), batch=False
+        inline, _ = SweepRunner(
+            workers=1, cache_dir=os.path.join(tmp, "a")
         ).run(specs)
-        batched_runner = SweepRunner(
-            workers=2, cache_dir=os.path.join(tmp, "b"), batch=True
+        forked_runner = SweepRunner(
+            workers=2, cache_dir=os.path.join(tmp, "b")
         )
-        batched, first = batched_runner.run(specs)
-        _, rerun = batched_runner.run(specs)
-    parity = all(same_result(a, b) for a, b in zip(unbatched, batched))
+        forked, first = forked_runner.run(specs)
+        _, rerun = forked_runner.run(specs)
+    parity = all(same_result(a, b) for a, b in zip(inline, forked))
     flushed = (
         first.computed == len(specs)
+        and first.fault_counters.get("sweep.checkpoint_flushes") == len(specs)
         and rerun.hits == len(specs)
         and rerun.computed == 0
     )
     report["cells"] = len(specs)
-    report["batched_parity"] = parity
+    report["forked_parity"] = parity
     report["worker_side_flush"] = flushed
     if not (parity and flushed):
         report["ok"] = False
     print(
-        f"batch sweep: {len(specs)} cells  parity={parity} "
+        f"grouped sweep: {len(specs)} cells  parity={parity} "
         f"worker-flush={flushed}  [{'ok' if report['ok'] else 'FAIL'}]"
     )
-
-    if timed:
-        specs = _batch_grid(n=128)
-
-        def run_once(batch: bool) -> float:
-            with tempfile.TemporaryDirectory() as cache_dir:
-                runner = SweepRunner(
-                    workers=2, cache_dir=cache_dir, batch=batch
-                )
-                start = time.perf_counter()
-                results, _ = runner.run(specs, on_failure="return")
-                wall = time.perf_counter() - start
-                if any(isinstance(r, RunFailure) for r in results):
-                    raise RuntimeError("batch benchmark cell failed")
-                return wall
-
-        def measure():
-            walls = {"unbatched": [], "batched": []}
-            for _ in range(BATCH_ROUNDS):
-                walls["unbatched"].append(run_once(False))
-                walls["batched"].append(run_once(True))
-            ratio = statistics.median(
-                u / b for u, b in zip(walls["unbatched"], walls["batched"])
-            )
-            return walls, ratio
-
-        walls, speedup = measure()
-        attempts = 1
-        while speedup < BATCH_MIN_SPEEDUP and attempts < GATE_ATTEMPTS:
-            retry_walls, retry = measure()
-            if retry > speedup:
-                walls, speedup = retry_walls, retry
-            attempts += 1
-        gate_ok = speedup >= BATCH_MIN_SPEEDUP
-        report.update(
-            timed_cells=len(specs),
-            rounds=BATCH_ROUNDS,
-            attempts=attempts,
-            unbatched_wall_seconds=statistics.median(walls["unbatched"]),
-            batched_wall_seconds=statistics.median(walls["batched"]),
-            min_batch_speedup=BATCH_MIN_SPEEDUP,
-            metrics={"sweep_speedup": speedup},
-        )
-        if not gate_ok:
-            report["ok"] = False
-        print(
-            f"batch sweep: {len(specs)} cold-cache cells  unbatched "
-            f"{report['unbatched_wall_seconds']:.3f}s  batched "
-            f"{report['batched_wall_seconds']:.3f}s  speedup "
-            f"{speedup:.2f}x (gate {BATCH_MIN_SPEEDUP:.1f}x, "
-            f"{attempts} attempt(s))  [{'ok' if gate_ok else 'FAIL'}]"
-        )
     return report
 
 
@@ -1004,7 +935,7 @@ def run_functional_checks() -> bool:
         ok = False
     if not check_graph_store(timed=False)["ok"]:
         ok = False
-    if not check_batch(timed=False)["ok"]:
+    if not check_batch()["ok"]:
         ok = False
     if not check_stream(timed=False)["ok"]:
         ok = False
@@ -1114,8 +1045,7 @@ def main(argv=None) -> int:
     if not store_report["ok"]:
         failed = True
 
-    batch_report = check_batch(timed=True)
-    if not batch_report["ok"]:
+    if not check_batch()["ok"]:
         failed = True
 
     stream_report = check_stream(timed=True)
@@ -1135,10 +1065,6 @@ def main(argv=None) -> int:
     with open(store_path, "w", encoding="utf-8") as f:
         json.dump(store_report, f, indent=2)
     print(f"wrote {store_path}")
-    batch_path = os.path.join(out_dir, "BENCH_batch.json")
-    with open(batch_path, "w", encoding="utf-8") as f:
-        json.dump(batch_report, f, indent=2)
-    print(f"wrote {batch_path}")
     stream_path = os.path.join(out_dir, "BENCH_stream.json")
     with open(stream_path, "w", encoding="utf-8") as f:
         json.dump(stream_report, f, indent=2)
@@ -1151,7 +1077,6 @@ def main(argv=None) -> int:
             report["cases"],
             obs_report.get("cases", {}),
             store_report.get("metrics", {}),
-            batch_report.get("metrics", {}),
             registry_report.get("metrics", {}),
             stream_report.get("metrics", {}),
         )

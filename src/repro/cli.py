@@ -137,8 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if workload == "pr":
         kwargs["max_supersteps"] = args.pr_supersteps
     config = _run_config(args)
-    if args.engine != "vectorized" and args.system != "nova":
-        raise ConfigError("--engine applies to the nova system only")
 
     # Single runs go through the same content-addressed cache as sweeps
     # and service jobs, so a repeated run (from any front end) is a hit.
@@ -146,9 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # reference counts the cache key does not distinguish.
     if args.verify or args.no_cache:
         if args.system == "nova":
-            system = NovaSystem(
-                config, graph, placement=args.placement, engine=args.engine
-            )
+            system = NovaSystem(config, graph, placement=args.placement)
             print(system.describe())
         elif args.system == "polygraph":
             system = PolyGraphSystem(config, graph)
@@ -167,7 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workload,
             gspec,
             config=config,
-            system="nova-jit" if args.engine == "jit" else args.system,
+            system=args.system,
             source=source,
             placement=args.placement,
             workload_kwargs=kwargs,
@@ -222,13 +218,6 @@ def _sweep_grid(args: argparse.Namespace):
         else None
     )
 
-    # --engine jit runs (and caches) under the nova-jit system key;
-    # report passes the same flag to recompute matching keys.
-    system = (
-        "nova-jit"
-        if getattr(args, "engine", "vectorized") == "jit"
-        else "nova"
-    )
     specs = []
     rows = []  # (workload, gpns, source) aligned with specs
     for workload in workloads:
@@ -261,7 +250,6 @@ def _sweep_grid(args: argparse.Namespace):
                         workload,
                         gspec,
                         config=config,
-                        system=system,
                         source=source,
                         placement=args.placement,
                         workload_kwargs=kwargs,
@@ -300,7 +288,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         policy=policy,
-        batch=args.batch,
     )
 
     checkpoint = None
@@ -1175,12 +1162,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="source vertex (default: highest out-degree)")
     run.add_argument("--pr-supersteps", type=int, default=10)
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--engine", default="vectorized",
-                     choices=("vectorized", "jit"),
-                     help="nova simulation engine: vectorized (default) "
-                          "or jit (numba-compiled kernels, falls back to "
-                          "vectorized without numba; cached under the "
-                          "nova-jit system key)")
     run.add_argument("--verify", action="store_true",
                      help="check results against the sequential oracle "
                           "(runs uncached)")
@@ -1212,12 +1193,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="instrument every run with a per-quantum "
                                  "timeline (cached separately; gives "
                                  "`repro report` bottleneck shares)")
-        parser.add_argument("--engine", default="vectorized",
-                            choices=("vectorized", "jit"),
-                            help="simulation engine: vectorized (default) "
-                                 "or jit (numba-compiled kernels, falls "
-                                 "back to vectorized without numba; cached "
-                                 "under the nova-jit system key)")
         parser.add_argument("--cache-dir", default=None,
                             help="run-cache root (default: REPRO_CACHE_DIR "
                                  "or ~/.cache/repro-nova)")
@@ -1243,12 +1218,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_RUN_RETRIES or 1)")
     sweep.add_argument("--no-progress", action="store_true",
                        help="suppress the live progress line on stderr")
-    sweep.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="group same-graph cells into one worker task "
-                            "each round, amortizing dispatch and system "
-                            "construction (default: REPRO_SWEEP_BATCH, "
-                            "else off)")
     sweep.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser(
@@ -1283,7 +1252,7 @@ def make_parser() -> argparse.ArgumentParser:
                       choices=("interleave", "random", "load_balanced",
                                "locality"))
     prof.add_argument("--engine", default="vectorized",
-                      choices=("vectorized", "scalar", "jit"))
+                      choices=("vectorized", "scalar"))
     prof.add_argument("--source", type=int, default=None,
                       help="source vertex (default: highest out-degree)")
     prof.add_argument("--pr-supersteps", type=int, default=10)

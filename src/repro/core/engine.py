@@ -124,11 +124,6 @@ class _InboxView:
 class NovaEngine:
     """One end-to-end NOVA execution of a vertex program on a graph."""
 
-    #: CSR edge-range expansion hook.  Subclasses (the numba-compiled
-    #: engine) swap in an equivalent single-pass kernel; any override
-    #: must return bit-identical (owner, dests, weights) arrays.
-    _expand = staticmethod(expand_edges)
-
     def __init__(
         self,
         config: NovaConfig,
@@ -423,7 +418,7 @@ class NovaEngine:
         )
         if vertices.shape[0] == 0:
             return
-        owner_idx, dests, weights = self._expand(
+        owner_idx, dests, weights = expand_edges(
             prop_graph, vertices, starts, ends
         )
         nedges = int(dests.shape[0])

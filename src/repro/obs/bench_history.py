@@ -257,7 +257,6 @@ def metrics_from_reports(
     hotpath_cases: Dict[str, Dict],
     obs_cases: Optional[Dict[str, Dict]] = None,
     store_metrics: Optional[Dict[str, float]] = None,
-    batch_metrics: Optional[Dict[str, float]] = None,
     registry_metrics: Optional[Dict[str, float]] = None,
     stream_metrics: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
@@ -278,9 +277,6 @@ def metrics_from_reports(
         # Already speedups (higher is better): map-vs-rebuild and the
         # cold-vs-warm sweep wall clock from BENCH_graph_store.json.
         out[f"graph_store.{name}"] = float(value)
-    for name, value in (batch_metrics or {}).items():
-        # Batched-vs-unbatched sweep speedups from BENCH_batch.json.
-        out[f"batch.{name}"] = float(value)
     for name, value in (registry_metrics or {}).items():
         # MetricsRegistry seam cost from BENCH_obs.json; "overhead" in
         # the name makes these lower-is-better with an absolute gate.
@@ -305,7 +301,6 @@ def metrics_from_bench_dir(results_dir: str) -> Dict[str, float]:
         _load("BENCH_hotpath.json", "cases"),
         _load("BENCH_obs.json", "cases"),
         _load("BENCH_graph_store.json", "metrics"),
-        _load("BENCH_batch.json", "metrics"),
         _load("BENCH_obs.json", "metrics_registry").get("metrics", {}),
         _load("BENCH_stream.json", "metrics"),
     )

@@ -4,7 +4,8 @@ The simulator's experiments (scaling curves, sensitivity sweeps,
 multi-source harness runs) are embarrassingly parallel: every
 (config, graph, workload, source) combination is an independent
 simulation.  This subsystem runs such sweeps across a
-:class:`concurrent.futures.ProcessPoolExecutor` worker pool and caches
+:class:`concurrent.futures.ProcessPoolExecutor` worker pool, one task
+per graph-grouped chunk of cells (:mod:`repro.runner.batch`), and caches
 each completed :class:`~repro.core.metrics.RunResult` on disk, keyed by
 a digest of everything that determines the outcome -- so re-invoking a
 benchmark suite recomputes nothing that already ran.
@@ -21,9 +22,6 @@ recomputation (:class:`~repro.runner.checkpoint.SweepCheckpoint` +
 Environment knobs:
 
 - ``REPRO_WORKERS``: worker-process count (default: ``os.cpu_count()``).
-- ``REPRO_SWEEP_BATCH``: truthy enables batched same-graph execution
-  (cells sharing a graph dispatch as one worker task per round; see
-  :mod:`repro.runner.batch`).
 - ``REPRO_CACHE_DIR``: cache root (default ``~/.cache/repro-nova``).
 - ``REPRO_CACHE_MAX_BYTES``: if set, prune least-recently-used entries
   past this size after each sweep.

@@ -1,47 +1,43 @@
-"""Batched same-graph sweep execution.
+"""Graph-grouped sweep execution and its crash recovery.
 
 An N-cell sweep grid typically varies (workload, config, source) over a
-handful of graphs, yet the unbatched executor pays per-*cell* fixed
-costs: one pool task dispatch, one spec pickle, one result pickle, one
-graph-memo resolve, and one system construction per cell.  With the
-mmap graph artifact store already amortizing graph *builds* (PR 6),
-those dispatch-side costs dominate short cells.
+handful of graphs.  :class:`~repro.runner.sweep.SweepRunner` groups each
+round's cells by graph identity and dispatches every group as **one**
+worker task, so per-task fixed costs (pool dispatch, pickling, the
+graph-memo resolve) are paid per group rather than per cell.  The
+worker runs the group's cells in order, each through
+:func:`~repro.runner.sweep.execute_spec` under its own SIGALRM timeout
+and exception flattening, so one raising or timing-out cell fails alone
+while its groupmates complete.
 
-This module groups a round's cells by graph identity and dispatches
-each group as **one** worker task: the worker resolves the shared graph
-once (a single memo/store lookup), reuses one :class:`NovaSystem` per
-(config, placement) within the group -- ``NovaSystem.run`` constructs a
-fresh engine per call, so reuse is bit-identical to building a system
-per cell -- and runs the group's cells back-to-back.  Every completed
-cell is flushed to the :class:`~repro.runner.cache.RunCache`
-*individually and immediately* by the worker, so checkpoint/resume/
-monitor semantics are unchanged and a mid-batch crash loses at most the
-cell that was executing:
-
-- cells already flushed are recovered from the cache by the parent;
-- the first unflushed cell (execution is in order) is charged as the
-  ``worker_died`` suspect and re-run in isolation;
-- the remaining cells re-queue without consuming retry budget.
-
-Per-cell SIGALRM timeouts and structured :class:`_Outcome` error
-flattening apply inside the batch exactly as they do unbatched: one
-raising or timing-out cell fails alone while its batchmates complete.
+Every completed cell is flushed to the
+:class:`~repro.runner.cache.RunCache` *individually and immediately* by
+the worker.  That flush trail is what crash recovery reads: after a
+pool collapse, :func:`recover_group` tells the cells that finished from
+the one that was executing and the ones that never started.
 
 Grouping is by graph *identity*, not digest: a :class:`GraphSpec`
 recipe is a frozen dataclass (equal recipes resolve to the same store
 artifact), and in-memory :class:`CSRGraph` objects group by ``id()``
-(specs sharing one parent-built graph object batch together).  Large
+(specs sharing one parent-built graph object group together).  Large
 groups are chunked so one huge group still spreads across the worker
-pool.
+pool, and capped at :data:`MAX_CHUNK` cells so cost differences between
+graphs cannot leave one worker with a long tail.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.runner.cache import RunCache, _config_token
+from repro.runner.cache import RunCache
 from repro.runner.spec import GraphSpec, RunSpec
+
+#: Most cells in one task.  Cells on different graph variants of one
+#: grid differ in cost by ~3x (weighted SSSP vs BFS), so a per-graph
+#: chunk of ``ceil(n / workers)`` cells can leave one worker computing
+#: long after the other idles; smaller chunks let the pool balance.
+MAX_CHUNK = 8
 
 
 def group_cells(
@@ -50,9 +46,10 @@ def group_cells(
     """Group (key, spec) cells by graph identity, chunked for the pool.
 
     The chunk size targets at least ``workers`` tasks overall so a
-    single same-graph grid still keeps every worker busy; cells keep
-    their submission order inside each chunk (in-order execution is
-    what makes mid-batch crash recovery precise).
+    single same-graph grid still keeps every worker busy, and at most
+    :data:`MAX_CHUNK` cells; cells keep their submission order inside
+    each chunk (in-order execution is what makes mid-group crash
+    recovery precise).
     """
     grouped: Dict[object, List[Tuple[str, RunSpec]]] = {}
     for key, spec in items:
@@ -62,7 +59,7 @@ def group_cells(
         else:
             gid = id(spec.graph)
         grouped.setdefault(gid, []).append((key, spec))
-    chunk = max(1, math.ceil(len(items) / max(1, workers)))
+    chunk = min(MAX_CHUNK, max(1, math.ceil(len(items) / max(1, workers))))
     out: List[List[Tuple[str, RunSpec]]] = []
     for cells in grouped.values():
         for start in range(0, len(cells), chunk):
@@ -70,43 +67,30 @@ def group_cells(
     return out
 
 
-def _system_token(spec: RunSpec, graph) -> tuple:
-    """Reuse key for one system inside a batch.
+def run_group(
+    items: List[Tuple[str, RunSpec]],
+    timeout: Optional[float],
+    cache_root: Optional[str],
+) -> Iterator[Tuple[str, object]]:
+    """Run a group's cells in order, yielding ``(key, _Outcome)`` pairs.
 
-    Two cells share a system only when every system-construction input
-    matches: system kind, config contents, graph object, and placement
-    (a prebuilt placement by identity, a strategy by name + seed --
-    placement construction is seeded and deterministic, so reuse is
-    bit-identical).
+    Completed results are stored to the cache here, before the pair is
+    yielded (``stored=True`` tells the parent to skip the redundant
+    flush); a store failure leaves ``stored=False`` and the parent
+    stores as usual.
     """
-    if isinstance(spec.placement, str):
-        placement: object = (spec.placement, spec.placement_seed)
-    else:
-        placement = id(spec.placement)
-    return (spec.system, _config_token(spec.config), id(graph), placement)
+    from repro.runner.sweep import _attempt
 
-
-def _group_execute(spec: RunSpec, systems: dict):
-    """Execute one batch cell, reusing systems across the group.
-
-    Only the stock nova executors are system-reused; registered
-    overrides (test injections, plugins) and the baseline systems run
-    through :func:`execute_spec` untouched -- they still amortize the
-    graph resolve via the per-process memo.
-    """
-    from repro.runner import sweep as _sweep
-
-    executor = _sweep._SYSTEM_EXECUTORS.get(spec.system)
-    if executor is _sweep._run_nova or executor is _sweep._run_nova_jit:
-        graph = spec.resolve_graph()
-        token = _system_token(spec, graph)
-        system = systems.get(token)
-        if system is None:
-            engine = "jit" if spec.system == "nova-jit" else "vectorized"
-            system = _sweep._nova_system(spec, engine=engine)
-            systems[token] = system
-        return _sweep._nova_run(system, spec)
-    return _sweep.execute_spec(spec)
+    cache = RunCache(cache_root) if cache_root is not None else None
+    for key, spec in items:
+        outcome = _attempt(spec, timeout)
+        if outcome.ok and cache is not None:
+            try:
+                cache.store(key, outcome.result)
+                outcome.stored = True
+            except OSError:
+                pass  # parent-side flush will retry the store
+        yield key, outcome
 
 
 def attempt_group(
@@ -114,50 +98,28 @@ def attempt_group(
     timeout: Optional[float],
     cache_root: Optional[str],
 ) -> List[Tuple[str, object]]:
-    """Worker entry point: run a same-graph group back-to-back.
-
-    Returns ``(key, _Outcome)`` pairs in submission order.  Each cell
-    runs under its own SIGALRM watchdog and its own exception
-    flattening, so one bad cell yields one failed outcome while the
-    rest of the group completes.  Completed results are stored to the
-    cache here, worker-side (``stored=True`` tells the parent to skip
-    the redundant flush); a store failure leaves ``stored=False`` and
-    the parent stores as usual.
-    """
-    from repro.runner.sweep import _attempt
-
-    cache = RunCache(cache_root) if cache_root is not None else None
-    systems: dict = {}
-    outcomes: List[Tuple[str, object]] = []
-    for key, spec in items:
-        outcome = _attempt(
-            spec, timeout, run=lambda s: _group_execute(s, systems)
-        )
-        if outcome.ok and cache is not None:
-            try:
-                cache.store(key, outcome.result)
-                outcome.stored = True
-            except OSError:
-                pass  # parent-side flush will retry the store
-        outcomes.append((key, outcome))
-    return outcomes
+    """Pool-task entry point: :func:`run_group` collected into a list."""
+    return list(run_group(items, timeout, cache_root))
 
 
 def recover_group(
     group: List[Tuple[str, RunSpec]], cache: Optional[RunCache]
 ) -> List[Tuple[str, Union[object, str]]]:
-    """Classify a group's cells after its worker died mid-batch.
+    """Classify a group's cells after its pool broke mid-group.
 
-    Cells whose results already landed in the cache (the worker flushes
-    each cell as it completes) come back as successful outcomes; the
-    first cell with no cached result is the one that was executing when
-    the process died -- the ``worker_died`` suspect; every later
-    unflushed cell returns the string ``"requeue"`` (innocent, re-run
-    without charging retry budget).
+    Cells whose results already landed in the cache come back as
+    successful outcomes.  The first cell with no cached result is the
+    ``worker_died`` suspect: it was executing when the pool broke,
+    unless the group never started.  Every later cell never started
+    and returns the string ``"requeue"`` (re-run without charging
+    retry budget).
 
-    Without a cache there is no flush trail: the first cell is charged
-    and the rest re-queue, which converges (each round isolates one
-    more cell from the front) but re-runs lost work.
+    Without a cache there is no flush trail, so any cell may have been
+    the one executing: every cell is a suspect.
+
+    A suspect is not a conviction.  In a shared pool one dead worker
+    breaks every in-flight group, so the caller re-runs suspects alone
+    and charges only a death there.
     """
     from repro.runner.sweep import _Outcome, _WORKER_DIED
 
@@ -169,7 +131,7 @@ def recover_group(
             out.append(
                 (key, _Outcome(ok=True, result=result, stored=True))
             )
-        elif not suspect_found:
+        elif cache is None or not suspect_found:
             suspect_found = True
             out.append((key, _WORKER_DIED))
         else:

@@ -7,21 +7,24 @@ and returns their :class:`~repro.core.metrics.RunResult` in order:
    arrays + workload + source + code version, see
    :mod:`repro.runner.cache`);
 2. cached results are loaded and counted as *hits*;
-3. the remaining unique keys are computed -- inline when one worker
-   suffices, otherwise fanned out over a
+3. the remaining unique keys are grouped by graph
+   (:func:`~repro.runner.batch.group_cells`) and computed -- inline
+   when one worker suffices, otherwise one group per task of a
    :class:`concurrent.futures.ProcessPoolExecutor` -- and each result
-   is flushed to the cache *the moment it finishes* (futures-based
-   submission, not a batch map), so an interrupted sweep resumes with
-   zero recomputation.
+   is flushed to the cache *the moment it finishes*, by the process
+   that computed it, so an interrupted sweep resumes with zero
+   recomputation.
 
 Execution is fault-isolated: one spec that raises, times out, or kills
 its forked worker does not abort its siblings.  Failed keys yield
 structured :class:`~repro.runner.fault.RunFailure` records; transient
 failures (worker deaths, OOM, cache I/O, timeouts) are retried with
 exponential backoff per the runner's
-:class:`~repro.runner.fault.RetryPolicy`.  Suspected worker-killing
-specs are re-run in single-task isolation pools so a poisoned spec
-cannot take sibling retries down with it.  ``on_failure="raise"``
+:class:`~repro.runner.fault.RetryPolicy`.  A worker death breaks the
+whole shared pool, so a collapse convicts no one: suspected
+worker-killing specs re-run alone in one-task pools, and only a death
+there is charged, so a poisoned spec cannot take sibling retries down
+with it.  ``on_failure="raise"``
 (default) raises :class:`~repro.errors.SweepFailure` *after* every
 sibling has completed and stored; ``on_failure="return"`` places the
 ``RunFailure`` records in the results list instead.
@@ -52,6 +55,12 @@ from repro.core.metrics import RunResult
 from repro.errors import ConfigError, RunTimeoutError, SweepFailure
 from repro.obs.counters import FAULT_COUNTERS
 from repro.obs.tracing import trace_event, trace_span
+from repro.runner.batch import (
+    attempt_group,
+    group_cells,
+    recover_group,
+    run_group,
+)
 from repro.runner.cache import RunCache, spec_key
 from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.fault import RetryPolicy, RunFailure, env_int, is_transient
@@ -73,32 +82,18 @@ def register_system(name: str, executor: Callable[[RunSpec], RunResult]) -> None
     _SYSTEM_EXECUTORS[name] = executor
 
 
-def _nova_system(spec: RunSpec, engine: str = "vectorized"):
-    """Build the configured :class:`NovaSystem` for one spec."""
+def _run_nova(spec: RunSpec) -> RunResult:
     from repro.core.system import NovaSystem
+    from repro.obs.config import make_recorder
     from repro.sim.config import scaled_config
 
-    graph = spec.resolve_graph()
     config = spec.config if spec.config is not None else scaled_config()
-    return NovaSystem(
+    system = NovaSystem(
         config,
-        graph,
+        spec.resolve_graph(),
         placement=spec.placement,
         seed=spec.placement_seed,
-        engine=engine,
     )
-
-
-def _nova_run(system, spec: RunSpec) -> RunResult:
-    """Execute one spec on a prebuilt (possibly reused) system.
-
-    ``NovaSystem.run`` constructs a fresh engine per call, so reusing
-    one system across a batch of cells sharing (graph, config,
-    placement) is bit-identical to building a system per cell -- only
-    the placement construction is amortized.
-    """
-    from repro.obs.config import make_recorder
-
     return system.run(
         spec.workload,
         source=spec.source,
@@ -106,21 +101,6 @@ def _nova_run(system, spec: RunSpec) -> RunResult:
         recorder=make_recorder(spec.obs),
         **spec.workload_kwargs,
     )
-
-
-def _run_nova(spec: RunSpec) -> RunResult:
-    return _nova_run(_nova_system(spec), spec)
-
-
-def _run_nova_jit(spec: RunSpec) -> RunResult:
-    """The ``nova-jit`` system: numba-compiled kernels when available.
-
-    Falls back transparently to the vectorized engine when numba is
-    not importable (see :mod:`repro.core.engine_numba`), so specs keyed
-    ``system="nova-jit"`` are runnable on every host -- the cache key
-    still separates them from plain ``nova`` entries.
-    """
-    return _nova_run(_nova_system(spec, engine="jit"), spec)
 
 
 def _run_polygraph(spec: RunSpec) -> RunResult:
@@ -142,18 +122,15 @@ def _run_ligra(spec: RunSpec) -> RunResult:
 
 
 register_system("nova", _run_nova)
-register_system("nova-jit", _run_nova_jit)
 register_system("polygraph", _run_polygraph)
 register_system("ligra", _run_ligra)
 
-#: Systems whose engines thread a MetricsRecorder (timeline/profiling).
-_OBS_SYSTEMS = ("nova", "nova-jit")
-
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one simulation to completion (the worker entry point)."""
+    """Run one simulation to completion (the per-cell worker entry)."""
+    # Only the nova engine threads a MetricsRecorder (timeline/profiling).
     if (
-        spec.system not in _OBS_SYSTEMS
+        spec.system != "nova"
         and spec.obs is not None
         and spec.obs.active
     ):
@@ -188,7 +165,7 @@ class _Outcome:
     worker_died: bool = False
     elapsed_seconds: float = 0.0
     #: True when the producing worker already flushed the result to the
-    #: run cache (batched execution stores worker-side for crash
+    #: run cache (group execution stores worker-side for crash
     #: durability); the parent then skips the redundant store.
     stored: bool = False
 
@@ -242,11 +219,7 @@ def _execute_with_timeout(
             signal.setitimer(signal.ITIMER_REAL, remaining, prior_timer[1])
 
 
-def _attempt(
-    spec: RunSpec,
-    timeout: Optional[float],
-    run: Callable[[RunSpec], RunResult] = None,
-) -> _Outcome:
+def _attempt(spec: RunSpec, timeout: Optional[float]) -> _Outcome:
     """Run one spec, converting exceptions into a structured outcome.
 
     Exceptions are flattened to (type name, message) in the worker so
@@ -254,7 +227,7 @@ def _attempt(
     """
     start = time.perf_counter()
     try:
-        result = _execute_with_timeout(spec, timeout, run=run)
+        result = _execute_with_timeout(spec, timeout)
     except Exception as exc:
         return _Outcome(
             ok=False,
@@ -278,40 +251,6 @@ _WORKER_DIED = _Outcome(
 )
 
 
-def _traced_attempt(
-    spec: RunSpec, timeout: Optional[float], trace_dir: str, token: str
-) -> _Outcome:
-    """:func:`_attempt` plus start/done breadcrumbs for victim forensics.
-
-    When a shared pool collapses, *every* in-flight future raises
-    ``BrokenProcessPool`` -- the parent cannot tell from the futures
-    alone which task's process actually died.  Each task therefore
-    drops a ``<token>.start`` marker (holding its worker pid) the
-    moment it begins and a ``<token>.done`` marker when it returns;
-    after the collapse the parent joins the markers against worker
-    exit codes to charge only the true victim (see
-    :meth:`SweepRunner._classify_collapse`).  Marker I/O failures are
-    swallowed: forensics degrade to the conservative pre-fix behavior,
-    they never fail a run.
-    """
-    try:
-        with open(
-            os.path.join(trace_dir, token + ".start"), "w", encoding="utf-8"
-        ) as f:
-            f.write(str(os.getpid()))
-    except OSError:
-        pass
-    outcome = _attempt(spec, timeout)
-    try:
-        with open(
-            os.path.join(trace_dir, token + ".done"), "w", encoding="utf-8"
-        ) as f:
-            f.write("")
-    except OSError:
-        pass
-    return outcome
-
-
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
@@ -324,9 +263,9 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-#: Free re-pool passes an innocent collapse sibling gets before it is
-#: charged as a suspect anyway -- bounds the rounds a pool that keeps
-#: collapsing before any task starts can spin without consuming budget.
+#: Free re-pool passes a cell that lost its seat in a pool collapse gets
+#: before it is charged as a suspect anyway -- bounds the rounds a pool
+#: that keeps collapsing can spin without consuming budget.
 _MAX_FREE_REQUEUES = 3
 
 
@@ -374,7 +313,11 @@ class SweepRunner:
         workers: worker-process count; ``None`` reads ``REPRO_WORKERS``
             and falls back to ``os.cpu_count()``.  ``1`` runs inline
             (note: inline runs share the parent process, so a worker
-            death cannot be isolated there).
+            death cannot be isolated there).  Each round groups its
+            cells by graph (:func:`~repro.runner.batch.group_cells`);
+            with more than one worker every group is one task of a
+            shared fork pool, whose worker runs the group's cells in
+            order and flushes each result to the cache as it finishes.
         cache_dir: cache root; ``None`` uses
             :func:`~repro.runner.cache.default_cache_dir`.
         use_cache: set ``False`` to always recompute (and not store).
@@ -382,13 +325,14 @@ class SweepRunner:
             ``REPRO_RUN_TIMEOUT`` / ``REPRO_RUN_RETRIES`` /
             ``REPRO_RETRY_BACKOFF`` with defaults (no timeout, one
             retry for transient failures).
-        batch: group cells sharing a graph into one worker task each
-            (see :mod:`repro.runner.batch`): the worker maps the graph
-            once, reuses the system per config, and runs the group's
-            cells back-to-back, flushing each result to the cache
-            individually.  ``None`` reads ``REPRO_SWEEP_BATCH``
-            (default off).  Results are bit-identical to unbatched
-            execution; only per-task fixed costs are amortized.
+
+    Crash recovery: one dead worker breaks every in-flight group of a
+    shared pool, so a collapse convicts no one.  Each broken group's
+    flushed cells are recovered from the cache, its first unflushed
+    cell re-runs alone in a one-task pool without being charged, and
+    the rest re-queue free (:func:`~repro.runner.batch.recover_group`).
+    Only a death in that one-task pool counts: ``sweep.worker_deaths``,
+    the key's attempts, and its retry budget.
     """
 
     def __init__(
@@ -397,18 +341,12 @@ class SweepRunner:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         policy: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         self.workers = workers if workers is not None else _default_workers()
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         self.cache = RunCache(cache_dir) if use_cache else None
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        if batch is None:
-            batch = os.environ.get("REPRO_SWEEP_BATCH", "").strip() not in (
-                "", "0", "false", "no",
-            )
-        self.batch = bool(batch)
 
     def run_one(self, spec: RunSpec) -> RunResult:
         results, _ = self.run([spec])
@@ -593,12 +531,12 @@ class SweepRunner:
             requeues: Dict[str, RunSpec] = {}
 
             def requeue(key: str) -> None:
-                # An innocent sibling of a pool collapse: its process did
-                # not die, it only lost its seat when the shared pool
-                # broke.  Re-queue it for the next round without touching
-                # its attempt count or the retry budget.  The free pass
-                # is bounded so a pathological pool that keeps collapsing
-                # before any task starts still terminates.
+                # A cell that never started before a pool collapse: it
+                # only lost its seat when the shared pool broke.
+                # Re-queue it for the next round without touching its
+                # attempt count or the retry budget.  The free pass is
+                # bounded so a pathological pool that keeps collapsing
+                # still terminates.
                 if requeue_counts.get(key, 0) >= _MAX_FREE_REQUEUES:
                     complete(key, _WORKER_DIED)
                     return
@@ -611,9 +549,9 @@ class SweepRunner:
                     "sweep.requeue", key=key, free_pass=requeue_counts[key]
                 )
 
-            # Keys whose worker died are suspects: re-run each in its own
-            # single-task pool so a poisoned spec cannot keep breaking the
-            # shared pool and draining sibling retry budgets.
+            # Keys whose worker died alone are suspects: re-run each in
+            # its own one-task pool so a poisoned spec cannot keep
+            # breaking the shared pool and draining sibling budgets.
             suspects = {
                 key
                 for key in pending
@@ -641,8 +579,8 @@ class SweepRunner:
         """Checkpoint one completed run the moment it finishes."""
         if self.cache is not None:
             if stored:
-                # A batch worker already flushed this result to the
-                # cache; count the flush, skip the redundant store.
+                # The worker already flushed this result to the cache;
+                # count the flush, skip the redundant store.
                 FAULT_COUNTERS.increment("sweep.checkpoint_flushes")
             else:
                 try:
@@ -658,243 +596,95 @@ class SweepRunner:
 
     def _run_round(
         self,
-        batch: Dict[str, RunSpec],
+        cells: Dict[str, RunSpec],
         suspects: set,
         complete: Callable[[str, _Outcome], None],
         requeue: Callable[[str], None],
     ) -> None:
-        """Run one round, reporting each key's outcome as it settles."""
+        """Run one round, reporting each key's outcome as it settles.
+
+        The round's cells group by graph; with one worker the groups
+        run inline, otherwise each group is one task of a shared fork
+        pool.  Suspects -- keys whose last attempt died alone, plus
+        the cells a collapse of this round's shared pool could not
+        clear -- then run one at a time as one-cell groups in one-task
+        pools, where a death can only be their own.
+        """
         timeout = self.policy.timeout_seconds
-        pooled = [
-            (key, spec) for key, spec in batch.items() if key not in suspects
+        shared = [
+            (key, spec) for key, spec in cells.items() if key not in suspects
         ]
-        if pooled:
-            if self.batch and len(pooled) > 1:
-                self._run_grouped(pooled, timeout, complete, requeue)
-            elif self.workers == 1:
-                # Explicit single-worker mode runs inline (no isolation
-                # from worker death, by construction).
-                for key, spec in pooled:
-                    complete(key, _attempt(spec, timeout))
-            elif len(pooled) == 1:
-                # Never run a lone leftover inline when the caller asked
-                # for process isolation: a worker-killing spec would
-                # take the parent down with it.
-                key, spec = pooled[0]
-                complete(key, self._run_isolated(spec, timeout))
+        alone = list(suspects)
+        if shared:
+            groups = group_cells(shared, self.workers)
+            trace_event(
+                "sweep.groups", cells=len(shared), groups=len(groups)
+            )
+            if self.workers == 1:
+                cache_root = self.cache.root if self.cache is not None else None
+                for group in groups:
+                    for key, outcome in run_group(group, timeout, cache_root):
+                        complete(key, outcome)
             else:
-                self._run_pooled(pooled, timeout, complete, requeue)
-        for key in suspects:
-            complete(key, self._run_isolated(batch[key], timeout))
+                alone += self._dispatch(groups, timeout, complete, requeue)
+        for key in alone:
+            self._dispatch([[(key, cells[key])]], timeout, complete, requeue)
 
-    def _run_grouped(
+    def _dispatch(
         self,
-        items: List[Tuple[str, RunSpec]],
+        groups: List[List[Tuple[str, RunSpec]]],
         timeout: Optional[float],
         complete: Callable[[str, _Outcome], None],
         requeue: Callable[[str], None],
-    ) -> None:
-        """Batched execution: one worker task per same-graph cell group."""
-        import multiprocessing
+    ) -> List[str]:
+        """Run each group as one task of a fork pool.
 
-        from repro.runner.batch import (
-            attempt_group,
-            group_cells,
-            recover_group,
-        )
-
-        groups = group_cells(items, self.workers)
-        cache_root = self.cache.root if self.cache is not None else None
-        trace_event(
-            "sweep.batch_groups", cells=len(items), groups=len(groups)
-        )
-        if self.workers == 1:
-            for group in groups:
-                for key, outcome in attempt_group(group, timeout, cache_root):
-                    complete(key, outcome)
-            return
-        context = multiprocessing.get_context("fork")
-        pool_size = min(self.workers, len(groups))
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(attempt_group, group, timeout, cache_root): index
-                for index, group in enumerate(groups)
-            }
-            for future in as_completed(futures):
-                group = groups[futures[future]]
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool:
-                    # The group's worker died mid-batch.  Cells already
-                    # flushed to the cache are recovered as completions;
-                    # the first unflushed cell (execution is in order)
-                    # is the suspect; the rest re-queue for free.
-                    for key, action in recover_group(group, self.cache):
-                        if action == "requeue":
-                            requeue(key)
-                        else:
-                            complete(key, action)
-                    continue
-                except Exception as exc:
-                    outcomes = [
-                        (
-                            key,
-                            _Outcome(
-                                ok=False,
-                                error_type=type(exc).__name__,
-                                message=str(exc),
-                                transient=is_transient(exc),
-                            ),
-                        )
-                        for key, _ in group
-                    ]
-                for key, outcome in outcomes:
-                    complete(key, outcome)
-
-    def _run_pooled(
-        self,
-        items: List[Tuple[str, RunSpec]],
-        timeout: Optional[float],
-        complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
-    ) -> None:
+        Returns the keys a pool collapse left as suspects, for the
+        caller to re-run alone.  A pool holding a single one-cell
+        group is the isolation pool: a collapse there can only be that
+        cell's own death, so it is charged as ``worker_died``.
+        """
         # Fork keeps parent-built graphs shared copy-on-write and is the
         # only start method that needs no spawn-safe __main__ guard in
         # callers (pytest, notebooks).
         import multiprocessing
-        import shutil
-        import tempfile
 
+        isolated = len(groups) == 1 and len(groups[0]) == 1
+        cache_root = self.cache.root if self.cache is not None else None
+        suspects: List[str] = []
         context = multiprocessing.get_context("fork")
-        pool_size = min(self.workers, len(items))
-        trace_dir = tempfile.mkdtemp(prefix="repro-sweep-trace-")
-        broken: List[str] = []
-        procs: Dict[int, object] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=context
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _traced_attempt, spec, timeout, trace_dir, key
-                    ): key
-                    for key, spec in items
-                }
-                # Snapshot worker Process objects while the pool is
-                # healthy: after a collapse their exit codes identify
-                # the process that actually died (stdlib-private but
-                # stable; forensics degrade gracefully without it).
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(groups)), mp_context=context
+        ) as pool:
+            futures = {
+                pool.submit(attempt_group, group, timeout, cache_root): group
+                for group in groups
+            }
+            for future in as_completed(futures):
+                group = futures[future]
                 try:
-                    procs = dict(getattr(pool, "_processes", None) or {})
-                except Exception:
-                    procs = {}
-                for future in as_completed(futures):
-                    key = futures[future]
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken.append(key)
-                        continue
-                    except Exception as exc:  # e.g. an unpicklable result
-                        outcome = _Outcome(
-                            ok=False,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            transient=is_transient(exc),
-                        )
-                    complete(key, outcome)
-            if broken:
-                self._settle_collapse(
-                    broken, trace_dir, procs, complete, requeue
-                )
-        finally:
-            shutil.rmtree(trace_dir, ignore_errors=True)
-
-    @staticmethod
-    def _settle_collapse(
-        broken_keys: List[str],
-        trace_dir: str,
-        procs: Dict[int, object],
-        complete: Callable[[str, _Outcome], None],
-        requeue: Callable[[str], None],
-    ) -> None:
-        """Charge only the collapse's true victim(s); free the innocents.
-
-        One worker death breaks the whole shared pool, so every
-        unfinished future raises ``BrokenProcessPool``.  The
-        :func:`_traced_attempt` breadcrumbs separate three populations:
-
-        - never started (no ``.start`` marker): queued behind the
-          collapse -- innocent, re-pooled for free;
-        - started and finished (``.done`` marker): the result was lost
-          in the collapse but the process did not die -- innocent;
-        - started, never finished: *candidate* victims.  A candidate is
-          charged as ``worker_died`` only if its recorded worker pid
-          exited abnormally (the pool's cleanup SIGTERMs the surviving
-          workers, so exit codes ``0`` and ``-SIGTERM`` mark
-          bystanders).  If no candidate's exit code is conclusive the
-          whole candidate set is charged -- the conservative pre-fix
-          behavior, never worse.
-        """
-        started_pid: Dict[str, int] = {}
-        done: set = set()
-        for key in broken_keys:
-            start_path = os.path.join(trace_dir, key + ".start")
-            if os.path.exists(start_path):
-                try:
-                    with open(start_path, encoding="utf-8") as f:
-                        started_pid[key] = int(f.read().strip() or "0")
-                except (OSError, ValueError):
-                    started_pid[key] = 0
-            if os.path.exists(os.path.join(trace_dir, key + ".done")):
-                done.add(key)
-        candidates = [
-            key for key in broken_keys
-            if key in started_pid and key not in done
-        ]
-        abnormal_pids = set()
-        for pid, proc in procs.items():
-            exitcode = getattr(proc, "exitcode", None)
-            if exitcode is None:
-                continue
-            if exitcode != 0 and exitcode != -int(signal.SIGTERM):
-                abnormal_pids.add(pid)
-        victims = {
-            key for key in candidates if started_pid.get(key) in abnormal_pids
-        }
-        if not victims:
-            victims = set(candidates)
-        trace_event(
-            "sweep.pool_collapse",
-            broken=len(broken_keys),
-            victims=len(victims),
-            requeued=len(broken_keys) - len(victims),
-        )
-        for key in broken_keys:
-            if key in victims:
-                complete(key, _WORKER_DIED)
-            else:
-                requeue(key)
-
-    def _run_isolated(
-        self, spec: RunSpec, timeout: Optional[float]
-    ) -> _Outcome:
-        """Re-run one worker-death suspect in a disposable one-task pool."""
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            future = pool.submit(_attempt, spec, timeout)
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                return _WORKER_DIED
-            except Exception as exc:
-                return _Outcome(
-                    ok=False,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    transient=is_transient(exc),
-                )
+                    outcomes = future.result()
+                except BrokenProcessPool:
+                    outcomes = recover_group(group, self.cache)
+                    trace_event(
+                        "sweep.pool_collapse",
+                        cells=len(group),
+                        isolated=isolated,
+                    )
+                except Exception as exc:  # e.g. an unpicklable result
+                    failed = _Outcome(
+                        ok=False,
+                        error_type=type(exc).__name__,
+                        message=str(exc),
+                        transient=is_transient(exc),
+                    )
+                    outcomes = [(key, failed) for key, _ in group]
+                for key, verdict in outcomes:
+                    if verdict == "requeue":
+                        requeue(key)
+                    elif verdict.worker_died and not isolated:
+                        # A shared-pool collapse convicts no one.
+                        suspects.append(key)
+                    else:
+                        complete(key, verdict)
+        return suspects

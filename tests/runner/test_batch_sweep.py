@@ -1,12 +1,12 @@
-"""Batched same-graph sweep execution, and the bugfixes that rode in
-with it: pool-collapse victim forensics, the graph-digest memo, and
-SIGALRM timer restoration.
+"""Graph-grouped sweep execution, and the pieces that ride with it:
+pool-collapse recovery, the graph-digest memo, and SIGALRM timer
+restoration.
 
-Batch mode (``SweepRunner(batch=True)`` / ``repro sweep --batch``)
-groups a round's cells by graph and dispatches each group as one worker
-task.  The contract under test: results, cache keys, checkpointing, and
-fault isolation are all indistinguishable from the unbatched path --
-only the dispatch overhead changes.
+``SweepRunner`` groups a round's cells by graph and dispatches each
+group as one worker task that flushes every finished cell to the cache.
+The contract under test: one bad cell fails alone, a worker death
+recovers the group's flushed prefix, and a pool collapse charges only
+the cell that actually killed its worker.
 """
 
 from __future__ import annotations
@@ -20,11 +20,22 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import FAULT_COUNTERS
-from repro.runner.batch import attempt_group, group_cells, recover_group
+from repro.runner.batch import (
+    MAX_CHUNK,
+    attempt_group,
+    group_cells,
+    recover_group,
+)
 from repro.runner.cache import RunCache, _DIGEST_MEMO, graph_digest, spec_key
 from repro.runner.fault import RetryPolicy, RunFailure
 from repro.runner.spec import GraphSpec, RunSpec, _GRAPH_MEMO
-from repro.runner.sweep import SweepRunner, _execute_with_timeout
+from repro.runner.sweep import (
+    SweepRunner,
+    _execute_with_timeout,
+    _run_nova,
+    execute_spec,
+    register_system,
+)
 from repro.graph.generators import rmat
 from repro.sim.config import scaled_config
 
@@ -35,6 +46,14 @@ from tests.runner.test_fault_tolerance import (  # noqa: F401
     _kill_worker,
     nova_spec,
 )
+
+
+def _sleep_then_run(spec):
+    time.sleep(1.0)
+    return _run_nova(spec)
+
+
+register_system("test.slow", _sleep_then_run)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +99,14 @@ def test_group_cells_groups_by_graph_and_chunks(graph, config):
     flat = [key for group in groups for key, _ in group]
     assert [k for k in flat if k.startswith("a")] == [f"a{i}" for i in range(4)]
 
+    # A large grid is cut at MAX_CHUNK cells, not ceil(n / workers).
+    items = [
+        (f"c{i}", RunSpec("bfs", spec_a, config=config, source=i))
+        for i in range(2 * MAX_CHUNK + 1)
+    ]
+    groups = group_cells(items, workers=2)
+    assert [len(g) for g in groups] == [MAX_CHUNK, MAX_CHUNK, 1]
+
     # Prebuilt in-memory graphs group by object identity.
     other = rmat(9, 8, seed=6)
     items = [
@@ -92,68 +119,55 @@ def test_group_cells_groups_by_graph_and_chunks(graph, config):
 
 
 # ----------------------------------------------------------------------
-# Parity: batched == unbatched, bit for bit
+# Parity: grouped forked sweep == one cell at a time, bit for bit
 # ----------------------------------------------------------------------
-
-
-def _parity_specs(config):
-    specs = []
-    for seed in (11, 12):
-        gspec = GraphSpec("rmat:9:8", seed=seed)
-        for source in range(3):
-            specs.append(
-                RunSpec("bfs", gspec, config=config, source=source)
-            )
-    return specs
 
 
 @pytest.mark.slow
 def test_batched_sweep_matches_unbatched_bit_for_bit(tmp_path, config):
-    specs = _parity_specs(config)
-    keys = [spec_key(spec) for spec in specs]
+    # A mixed grid: two graphs, two configs, and a polygraph cell.
+    # Graph A's eight cells exceed the ceil(11 / 2) = 6 chunk, so that
+    # graph spans two pool tasks; graph B's three cells make the third.
+    two_gpn = scaled_config(num_gpns=2, scale=1.0 / 1024.0)
+    graph_a = GraphSpec("rmat:9:8", seed=11)
+    graph_b = GraphSpec("rmat:9:8", seed=12)
+    grid = [
+        RunSpec("bfs", gspec, config=cfg, source=s)
+        for gspec, sources in ((graph_a, range(4)), (graph_b, range(1)))
+        for cfg in (config, two_gpn)
+        for s in sources
+    ]
+    grid.append(RunSpec("bfs", graph_b, system="polygraph", source=0))
+    keys = [spec_key(spec) for spec in grid]
+    assert len(group_cells(list(zip(keys, grid)), workers=2)) == 3
 
-    plain = SweepRunner(
-        workers=2, cache_dir=str(tmp_path / "plain"), policy=FAST_POLICY,
-        batch=False,
+    # The unbatched reference: every cell run on its own, in process.
+    plain = [execute_spec(spec) for spec in grid]
+    runner = SweepRunner(
+        workers=2, cache_dir=str(tmp_path), policy=FAST_POLICY
     )
-    plain_results, plain_stats = plain.run(specs)
-
-    batched = SweepRunner(
-        workers=2, cache_dir=str(tmp_path / "batched"), policy=FAST_POLICY,
-        batch=True,
-    )
-    batch_results, batch_stats = batched.run(specs)
-
-    assert (batch_stats.total, batch_stats.computed, batch_stats.failed) == (
-        plain_stats.total, plain_stats.computed, plain_stats.failed
-    )
-    for a, b in zip(plain_results, batch_results):
+    batched, stats = runner.run(grid)
+    assert (stats.total, stats.computed, stats.failed) == (11, 11, 0)
+    for a, b in zip(plain, batched):
+        assert a.system == b.system
         assert a.elapsed_seconds == b.elapsed_seconds
         assert a.quanta == b.quanta
         assert np.array_equal(a.result, b.result)
         assert a.breakdown == b.breakdown
         assert a.traffic == b.traffic
         assert a.utilization == b.utilization
+    assert batched[-1].system == "polygraph"
 
-    # Keys are computed identically, and the batch worker flushed every
-    # cell to the cache itself: a rerun is pure hits.
-    assert all(batched.cache.load(key) is not None for key in keys)
-    _, again = batched.run(specs)
-    assert (again.hits, again.computed) == (len(specs), 0)
-
-
-def test_batch_flag_reads_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_BATCH", "1")
-    assert SweepRunner(workers=1, use_cache=False).batch is True
-    monkeypatch.setenv("REPRO_SWEEP_BATCH", "0")
-    assert SweepRunner(workers=1, use_cache=False).batch is False
-    monkeypatch.delenv("REPRO_SWEEP_BATCH")
-    assert SweepRunner(workers=1, use_cache=False).batch is False
-    assert SweepRunner(workers=1, use_cache=False, batch=True).batch is True
+    # Every cell was flushed to the cache by the worker that computed
+    # it: a rerun is pure hits.
+    assert all(runner.cache.load(key) is not None for key in keys)
+    assert stats.fault_counters["sweep.checkpoint_flushes"] == 11
+    _, again = runner.run(grid)
+    assert (again.hits, again.computed) == (11, 0)
 
 
 # ----------------------------------------------------------------------
-# Fault isolation inside a batch
+# Fault isolation inside a group
 # ----------------------------------------------------------------------
 
 
@@ -167,7 +181,7 @@ def test_batched_cell_failure_is_isolated(tmp_path, config):
         RunSpec("bfs", gspec, config=config, source=1),
     ]
     runner = SweepRunner(
-        workers=2, cache_dir=str(tmp_path), policy=FAST_POLICY, batch=True
+        workers=2, cache_dir=str(tmp_path), policy=FAST_POLICY
     )
     results, stats = runner.run(specs, on_failure="return")
     assert (stats.computed, stats.failed) == (2, 1)
@@ -188,7 +202,7 @@ def test_batched_worker_death_recovers_flushed_prefix(tmp_path, config):
     keys = [spec_key(spec) for spec in specs]
     policy = RetryPolicy(retries=1, backoff_seconds=0.0)
     runner = SweepRunner(
-        workers=2, cache_dir=str(tmp_path), policy=policy, batch=True
+        workers=2, cache_dir=str(tmp_path), policy=policy
     )
     results, stats = runner.run(specs, on_failure="return")
     assert (stats.computed, stats.failed) == (5, 1)
@@ -199,7 +213,7 @@ def test_batched_worker_death_recovers_flushed_prefix(tmp_path, config):
     for slot in (0, 2, 3, 4, 5):
         assert results[slot].workload == "bfs"
         assert runner.cache.load(keys[slot]) is not None
-    # Batchmates that had already flushed before the crash were
+    # Groupmates that had already flushed before the crash were
     # recovered from the cache, not recomputed from scratch.
     _, again = runner.run(specs, on_failure="return")
     assert (again.hits, again.computed, again.failed) == (5, 0, 1)
@@ -221,15 +235,14 @@ def test_recover_group_classifies_flushed_suspect_requeue(tmp_path, config):
     assert verdicts[1][1].worker_died  # first unflushed: the suspect
     assert verdicts[2][1] == "requeue"  # innocent tail: free re-run
 
-    # Without a cache there is no trail: charge the head, requeue the rest.
+    # Without a cache there is no trail: any cell may have been the one
+    # executing, so every cell is a suspect (re-run alone, uncharged).
     verdicts = recover_group(group, None)
-    assert verdicts[0][1].worker_died
-    assert verdicts[1][1] == "requeue"
-    assert verdicts[2][1] == "requeue"
+    assert all(verdict.worker_died for _, verdict in verdicts)
 
 
 # ----------------------------------------------------------------------
-# Pool-collapse forensics (unbatched): one victim, no innocent retries
+# Pool collapse: one victim, no innocent retries
 # ----------------------------------------------------------------------
 
 
@@ -262,6 +275,49 @@ def test_pool_collapse_charges_only_the_victim(tmp_path, graph, config):
     # finished before the collapse or re-queued for free.
     assert FAULT_COUNTERS.get("sweep.retries") == 1
     assert stats.retried == 1
+
+
+@pytest.mark.slow
+def test_collapse_with_two_groups_in_flight_charges_only_the_killer(
+    tmp_path, config
+):
+    """Regression: one worker death breaks *every* in-flight group of
+    the shared pool.  The other group's head was still running -- its
+    worker was alive -- yet it used to be charged ``worker_died`` too.
+    """
+    spec_a = GraphSpec("rmat:9:8", seed=11)
+    spec_b = GraphSpec("rmat:9:8", seed=12)
+    specs = [
+        RunSpec("bfs", spec_a, config=config, source=0),
+        RunSpec("bfs", spec_a, config=config, source=1, system="test.killer"),
+        RunSpec("bfs", spec_a, config=config, source=2),
+        # Sleeps past the killer's death, so group B is mid-cell then.
+        RunSpec("bfs", spec_b, config=config, source=0, system="test.slow"),
+        RunSpec("bfs", spec_b, config=config, source=1),
+        RunSpec("bfs", spec_b, config=config, source=2),
+    ]
+    keys = [spec_key(spec) for spec in specs]
+    # chunk = ceil(6 / 2) = 3: exactly one group per graph, both in
+    # flight at once on the two workers.
+    groups = group_cells(list(zip(keys, specs)), workers=2)
+    assert [[key for key, _ in g] for g in groups] == [keys[:3], keys[3:]]
+
+    policy = RetryPolicy(retries=1, backoff_seconds=0.0)
+    runner = SweepRunner(workers=2, cache_dir=str(tmp_path), policy=policy)
+    results, stats = runner.run(specs, on_failure="return")
+    assert (stats.computed, stats.failed) == (5, 1)
+    failure = results[1]
+    assert isinstance(failure, RunFailure)
+    assert failure.kind == "worker-died"
+    assert failure.attempts == 2
+    # Both deaths are the killer's own, in isolation; the collapse of
+    # the shared pool charged nobody.
+    assert FAULT_COUNTERS.get("sweep.worker_deaths") == 2
+    assert FAULT_COUNTERS.get("sweep.retries") == 1
+    assert stats.retried == 1
+    for slot in (0, 2, 3, 4, 5):
+        assert results[slot].workload == "bfs"
+        assert runner.cache.load(keys[slot]) is not None
 
 
 # ----------------------------------------------------------------------
