@@ -27,14 +27,9 @@ Commands:
 - ``info``      print the system configuration (Table II) and tracker sizing
 - ``resources`` print Table IV terascale requirements
 
-Graph specifiers (for ``run --graph`` and ``generate --kind``)::
-
-    rmat:SCALE[:EDGE_FACTOR]      e.g. rmat:16:16
-    urand:VERTICES:EDGES          e.g. urand:100000:3000000
-    powerlaw:VERTICES:AVG_DEGREE  e.g. powerlaw:100000:35
-    road:WIDTH:HEIGHT             e.g. road:300:300
-    suite:NAME                    Table III stand-in (road/twitter/...)
-    PATH                          .npz / .txt edge list / .gr DIMACS
+Graph specifiers (for ``--graph`` and ``generate --kind``, e.g.
+``rmat:16:16``, ``suite:twitter`` or a file path) are listed in
+:mod:`repro.graph.specifier`.
 """
 
 from __future__ import annotations
@@ -55,54 +50,9 @@ from repro import (
 from repro.analysis.resources import terascale_requirements
 from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
-from repro.graph import suites
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import (
-    power_law,
-    rmat,
-    road_grid,
-    uniform_random,
-    with_uniform_weights,
-)
-from repro.units import KiB, MiB, bytes_to_human, rate_to_human
-
-_SIZE_UNITS = {"kib": KiB, "mib": MiB, "gib": 1 << 30, "b": 1}
-
-
-def parse_size(text: str) -> int:
-    """Parse '64KiB' / '1.5MiB' / '4096' into bytes."""
-    lowered = text.strip().lower()
-    for suffix, unit in _SIZE_UNITS.items():
-        if lowered.endswith(suffix):
-            return int(float(lowered[: -len(suffix)]) * unit)
-    return int(lowered)
-
-
-def build_graph(spec: str, seed: int = 42) -> CSRGraph:
-    """Resolve a graph specifier (see module docstring)."""
-    if ":" not in spec:
-        if spec.endswith(".npz"):
-            return graph_io.load_npz(spec)
-        if spec.endswith(".gr"):
-            return graph_io.load_dimacs(spec)
-        if spec.endswith(".txt") or spec.endswith(".el"):
-            return graph_io.load_edge_list(spec)
-        raise ReproError(f"unrecognized graph specifier: {spec!r}")
-    kind, _, rest = spec.partition(":")
-    args = rest.split(":") if rest else []
-    if kind == "rmat":
-        scale = int(args[0])
-        edge_factor = int(args[1]) if len(args) > 1 else 16
-        return rmat(scale, edge_factor, seed=seed)
-    if kind == "urand":
-        return uniform_random(int(args[0]), int(args[1]), seed=seed)
-    if kind == "powerlaw":
-        return power_law(int(args[0]), float(args[1]), seed=seed)
-    if kind == "road":
-        return road_grid(int(args[0]), int(args[1]), seed=seed)
-    if kind == "suite":
-        return suites.build_graph(args[0], seed=seed)
-    raise ReproError(f"unknown graph kind: {kind!r}")
+from repro.graph.generators import with_uniform_weights
+from repro.graph.specifier import graph_from_specifier
+from repro.units import MiB, bytes_to_human, parse_size, rate_to_human
 
 
 def _run_config(args: argparse.Namespace):
@@ -470,9 +420,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     recorder = make_recorder(obs)
     config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-    system = NovaSystem(
-        config, graph, placement=args.placement, engine=args.engine
-    )
+    system = NovaSystem(config, graph, placement=args.placement)
     # `--json` with no path streams the machine-readable report to
     # stdout; the rendered view moves to stderr so stdout stays pure
     # JSON for pipelines (`repro profile --json | jq ...`).
@@ -655,7 +603,7 @@ def _cmd_graph_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = build_graph(args.kind, seed=args.seed)
+    graph = graph_from_specifier(args.kind, seed=args.seed)
     if args.weights:
         graph = with_uniform_weights(graph, seed=args.seed)
     if args.out.endswith(".npz"):
@@ -707,7 +655,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.validation import validate_all
 
-    graph = build_graph(args.graph, seed=args.seed)
+    graph = graph_from_specifier(args.graph, seed=args.seed)
     reports = validate_all(graph, scale=args.scale)
     failed = 0
     for report in reports:
@@ -1251,8 +1199,6 @@ def make_parser() -> argparse.ArgumentParser:
     prof.add_argument("--placement", default="random",
                       choices=("interleave", "random", "load_balanced",
                                "locality"))
-    prof.add_argument("--engine", default="vectorized",
-                      choices=("vectorized", "scalar"))
     prof.add_argument("--source", type=int, default=None,
                       help="source vertex (default: highest out-degree)")
     prof.add_argument("--pr-supersteps", type=int, default=10)

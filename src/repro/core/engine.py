@@ -32,18 +32,26 @@ three phases run every quantum until the machine drains) and **BSP**
 (propagation and reduction alternate under a barrier, driven by the
 program's ``superstep_end``).
 
-All three phases operate on flat cross-PE arrays: per-PE queues are
-pooled (:class:`repro.core.queues.PooledMessageQueue` /
+One driver, two kernel sets.  :class:`NovaDriver` owns everything that
+does not depend on how the per-PE state is stored: set-up, activation
+injection and FIFO spilling, the per-quantum phase step with its
+profiler sampling, quantum close, tracing, observability, the quota
+check, and :class:`RunResult` assembly.  A backend supplies its queue
+and channel containers, three read-outs (inbox backlog, messages
+drained, active-buffer occupancy) and the five phase kernels
+(``_mpu_phase``, ``_vmu_phase``, ``_vmu_phase_fifo``, ``_mgu_phase``,
+``_deliver``).  :class:`NovaEngine` is the vectorized backend: per-PE
+queues are pooled (:class:`repro.core.queues.PooledMessageQueue` /
 :class:`PooledPendingWork`), memory channels are banked
 (:class:`repro.memory.channel.BandwidthChannelArray`), and the tracker
 selects and collects superblocks for every eligible PE in one pass.  The
-per-PE scalar-loop formulation is preserved bit-for-bit in
-:mod:`repro.core.engine_scalar`; ``tests/core/test_engine_parity.py``
-pins the equivalence.
+per-PE scalar-loop kernels live in :mod:`repro.core.engine_scalar`;
+``tests/core/test_engine_parity.py`` pins the two bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -108,21 +116,18 @@ def make_fu_pools(
     )
 
 
-class _InboxView:
-    """Read-only per-PE view of the pooled inbox (test/debug surface)."""
-
-    __slots__ = ("_pool", "_pe")
-
-    def __init__(self, pool: PooledMessageQueue, pe: int) -> None:
-        self._pool = pool
-        self._pe = pe
-
-    def __len__(self) -> int:
-        return int(self._pool.sizes[self._pe])
+def _untimed(phase: str, fn, *args):
+    """:func:`timed_call` without the clock (unsampled quanta)."""
+    return fn(*args)
 
 
-class NovaEngine:
-    """One end-to-end NOVA execution of a vertex program on a graph."""
+class NovaDriver:
+    """One end-to-end NOVA execution, independent of the kernel backend.
+
+    Subclasses build ``inbox``/``pending`` queues and the ``hbm``/``ddr``
+    channel banks in :meth:`_build_backend`, and implement the read-outs
+    and phase kernels below that raise :class:`NotImplementedError`.
+    """
 
     def __init__(
         self,
@@ -157,8 +162,7 @@ class NovaEngine:
         self.state = program.create_state(graph, source)
         self.active_now = np.zeros(graph.num_vertices, dtype=bool)
         self.tracker = TrackerModule(self.layout)
-        self.inbox_pool = PooledMessageQueue(p)
-        self.pending_pool = PooledPendingWork(p)
+        self._fifo_mode = config.vmu_mode == "fifo"
         #: Table I's alternative spilling method: per-PE off-chip FIFOs
         #: of (vertex, value-at-spill) copies.  Only used in "fifo" mode.
         self.spill_fifos = [MessageQueue() for _ in range(p)]
@@ -167,8 +171,7 @@ class NovaEngine:
         self.cache = CacheArray(
             p, config.cache_bytes_per_pe, config.cache_line_bytes
         )
-        self.hbm = BandwidthChannelArray(config.vertex_channel, p)
-        self.ddr = BandwidthChannelArray(config.edge_pool, config.num_gpns)
+        self._build_backend()
         self.reduce_pool, self.propagate_pool = make_fu_pools(config)
         self.fabric = build_fabric(config)
         self.clock = QuantumClock(
@@ -204,6 +207,7 @@ class NovaEngine:
         #: at a single branch (see repro.obs).
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self._obs_on = self.obs.enabled
+        self._profiler = self.obs.phase_profiler
 
         # Counters (mirrored into stats at the end).
         self._edges_traversed = 0
@@ -214,19 +218,44 @@ class NovaEngine:
         self._activations = 0
         self._outbox: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    @property
-    def inboxes(self) -> List[_InboxView]:
-        """Per-PE inbox views (compatibility surface for tests/tools)."""
-        return [
-            _InboxView(self.inbox_pool, pe) for pe in range(self.config.num_pes)
-        ]
-
     # ------------------------------------------------------------------
-    # Pipeline phases
+    # Backend: containers, read-outs, phase kernels
     # ------------------------------------------------------------------
 
-    def _gpn_of(self, pe: int) -> int:
-        return pe // self.config.pes_per_gpn
+    def _build_backend(self) -> None:
+        """Create the inbox and pending queues and the hbm/ddr banks."""
+        raise NotImplementedError
+
+    def _inbox_backlog(self) -> int:
+        """Messages waiting in all inboxes."""
+        raise NotImplementedError
+
+    def _messages_drained(self) -> int:
+        """Messages popped from all inboxes since the run began."""
+        raise NotImplementedError
+
+    def _buffer_occupancy(self) -> int:
+        """Vertices waiting in all active buffers."""
+        raise NotImplementedError
+
+    def _mpu_phase(self) -> None:
+        raise NotImplementedError
+
+    def _vmu_phase(self, prop_graph: CSRGraph) -> None:
+        raise NotImplementedError
+
+    def _vmu_phase_fifo(self, prop_graph: CSRGraph) -> None:
+        raise NotImplementedError
+
+    def _mgu_phase(self, prop_graph: CSRGraph, traffic: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _deliver(self) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Activation
+    # ------------------------------------------------------------------
 
     def _inject_active(self, vertices: np.ndarray) -> None:
         """Register newly active vertices with the spill mechanism.
@@ -239,7 +268,7 @@ class NovaEngine:
         """
         if vertices.shape[0] == 0:
             return
-        if self.config.vmu_mode == "fifo":
+        if self._fifo_mode:
             self._spill_to_fifo(vertices)
             return
         fresh = vertices[~self.active_now[vertices]]
@@ -263,6 +292,263 @@ class NovaEngine:
                 pe, segment.shape[0] * self._fifo_entry_bytes, sequential=True
             )
         self._activations += int(vertices.shape[0])
+
+    # ------------------------------------------------------------------
+    # Quantum close
+    # ------------------------------------------------------------------
+
+    def _close_quantum(self, traffic: np.ndarray) -> None:
+        services = {
+            "hbm": self.hbm.max_service_time(),
+            "ddr": self.ddr.max_service_time(),
+            "reduce_fu": max(
+                p.quantum_service_time() for p in self.reduce_pool
+            ),
+            "propagate_fu": max(
+                p.quantum_service_time() for p in self.propagate_pool
+            ),
+            "fabric": self.fabric.service_time(traffic),
+        }
+        bottleneck = max(services, key=services.get)
+        service = services[bottleneck]
+        start = self.clock.elapsed_seconds
+        duration = self.clock.advance(service)
+        if duration > service:
+            bottleneck = "latency"
+        if self.trace is not None:
+            self._record_trace(start, duration, bottleneck, service)
+        if self._obs_on:
+            self._observe_quantum(services, duration, bottleneck)
+        self.hbm.end_quantum(duration)
+        self.ddr.end_quantum(duration)
+        for pool in self.reduce_pool:
+            pool.end_quantum(duration)
+        for pool in self.propagate_pool:
+            pool.end_quantum(duration)
+        self.fabric.record(traffic)
+        self._deliver()
+
+    def _observe_quantum(
+        self, services: dict, duration: float, bottleneck: str
+    ) -> None:
+        """Feed the metrics recorder (called before resources reset)."""
+        self.obs.on_quantum(
+            QuantumObservation(
+                index=self.clock.quanta - 1,
+                duration_seconds=duration,
+                bottleneck=bottleneck,
+                hbm_util=self.hbm.quantum_utilizations(duration),
+                ddr_util=self.ddr.quantum_utilizations(duration),
+                reduce_fu_util=np.array(
+                    [p.quantum_utilization(duration) for p in self.reduce_pool]
+                ),
+                propagate_fu_util=np.array(
+                    [p.quantum_utilization(duration) for p in self.propagate_pool]
+                ),
+                fabric_util=services["fabric"] / duration if duration > 0 else 0.0,
+                messages_drained=self._messages_drained(),
+                coalesced=self._coalesced,
+                spilled=self._activations,
+                prefetch_hits=self.tracker.prefetch_hits,
+                prefetch_misses=self.tracker.prefetch_misses,
+                inbox_backlog=self._inbox_backlog(),
+                buffer_occupancy=self._buffer_occupancy(),
+                tracked_blocks=int(self.tracker.counters.sum()),
+            )
+        )
+
+    def _record_trace(
+        self, start: float, duration: float, bottleneck: str, service: float
+    ) -> None:
+        reduced, collected, expanded = (
+            self._messages_processed,
+            self._activations,
+            self._edges_traversed,
+        )
+        prev = self._trace_prev
+        self._trace_prev = (reduced, collected, expanded)
+        self.trace.record(
+            QuantumSample(
+                index=self.clock.quanta - 1,
+                start_seconds=start,
+                duration_seconds=duration,
+                messages_reduced=reduced - prev[0],
+                vertices_collected=collected - prev[1],
+                edges_expanded=expanded - prev[2],
+                inbox_backlog=self._inbox_backlog(),
+                buffer_occupancy=self._buffer_occupancy(),
+                tracked_blocks=int(self.tracker.counters.sum()),
+                bottleneck=bottleneck,
+                bottleneck_seconds=service,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # Drain conditions
+    # ------------------------------------------------------------------
+
+    def _messages_pending(self) -> bool:
+        return self._inbox_backlog() > 0
+
+    def _propagation_pending(self) -> bool:
+        return (
+            self.tracker.any_work()
+            or self._buffer_occupancy() > 0
+            or any(len(fifo) for fifo in self.spill_fifos)
+        )
+
+    # ------------------------------------------------------------------
+    # Execution models
+    # ------------------------------------------------------------------
+
+    def run(self) -> RunResult:
+        """Execute to completion in the program's declared mode."""
+        if self.program.mode == "bsp":
+            self._run_bsp()
+        else:
+            self._run_async()
+        return self._build_result()
+
+    def _run_async(self) -> None:
+        self._inject_active(np.unique(self.program.initial_active(self.state)))
+        while self._messages_pending() or self._propagation_pending():
+            self._quantum(mpu=True, propagate=True)
+
+    def _run_bsp(self) -> None:
+        supersteps = 0
+        active = np.unique(self.program.initial_active(self.state))
+        while active.shape[0]:
+            self._inject_active(active)
+            # Message generation (red block of Algorithm 1).
+            while self._propagation_pending():
+                self._quantum(mpu=False, propagate=True)
+            # Message processing (blue block), strictly afterwards.
+            while self._messages_pending():
+                self._quantum(mpu=True, propagate=False)
+            active = np.unique(self.program.superstep_end(self.state))
+            supersteps += 1
+        self.stats.set("supersteps", supersteps)
+
+    def _quantum(self, mpu: bool, propagate: bool) -> None:
+        """One quantum: the MPU and/or VMU+MGU phases, then the close.
+
+        Sampled quanta charge each phase's wall time to the profiler.
+        """
+        self._check_quota()
+        prof = self._profiler
+        if prof is not None and prof.should_sample(self.clock.quanta):
+            call = partial(timed_call, prof)
+        else:
+            call = _untimed
+        traffic = np.zeros((self.config.num_pes, self.config.num_pes))
+        if propagate:
+            # Taken before the MPU phase: the reduce mutates the state the
+            # propagation graph is derived from.
+            prop_graph = self.program.propagation_graph(self.state)
+        if mpu:
+            call("mpu", self._mpu_phase)
+        if propagate:
+            vmu = self._vmu_phase_fifo if self._fifo_mode else self._vmu_phase
+            call("vmu", vmu, prop_graph)
+            call("mgu", self._mgu_phase, prop_graph, traffic)
+        call("close", self._close_quantum, traffic)
+
+    def _check_quota(self) -> None:
+        if self.clock.quanta >= self.max_quanta:
+            raise SimulationError(
+                f"exceeded {self.max_quanta} quanta; simulation is stuck"
+            )
+
+    # ------------------------------------------------------------------
+    # Results
+    # ------------------------------------------------------------------
+
+    def _build_result(self) -> RunResult:
+        config = self.config
+        elapsed = self.clock.elapsed_seconds
+        hbm_useful = self.hbm.total_useful_read_bytes
+        hbm_wasteful = self.hbm.total_wasteful_read_bytes
+        hbm_write = self.hbm.total_write_bytes
+        ddr_bytes = self.ddr.total_bytes
+
+        # Fig 6 attribution: overfetch time is the mean per-PE time spent
+        # reading inactive vertices during superblock scans.
+        per_pe_bw = config.vertex_channel.random_bandwidth
+        overfetch = hbm_wasteful / config.num_pes / per_pe_bw
+        breakdown = {
+            "processing": max(0.0, elapsed - overfetch),
+            "overfetch": min(elapsed, overfetch),
+        }
+        traffic = {
+            "hbm_useful_read_bytes": hbm_useful,
+            "hbm_wasteful_read_bytes": hbm_wasteful,
+            "hbm_write_bytes": hbm_write,
+            "ddr_bytes": ddr_bytes,
+            "network_bytes": self.fabric.total_bytes,
+        }
+        utilization = {
+            "hbm": float(np.mean(self.hbm.utilizations(elapsed))),
+            "ddr": float(np.mean(self.ddr.utilizations(elapsed))),
+            "fabric": self.fabric.busy_seconds / elapsed if elapsed else 0.0,
+            "reduce_fu": float(
+                np.mean([p.utilization(elapsed) for p in self.reduce_pool])
+            ),
+            "propagate_fu": float(
+                np.mean([p.utilization(elapsed) for p in self.propagate_pool])
+            ),
+        }
+        stats = self.stats
+        stats.set("quanta", self.clock.quanta)
+        stats.set("elapsed_seconds", elapsed)
+        cache = stats.child("cache")
+        cache.set("hits", self.cache.lifetime_hits)
+        cache.set("misses", self.cache.lifetime_misses)
+        cache.set("writebacks", self.cache.lifetime_writebacks)
+        timeline = None
+        if self._obs_on:
+            self.obs.publish(stats.child("obs"))
+            timeline = self.obs.timeline_dict()
+        return RunResult(
+            workload=self.program.name,
+            system="nova",
+            num_vertices=self.graph.num_vertices,
+            num_edges=self.graph.num_edges,
+            result=self.program.result(self.state),
+            elapsed_seconds=elapsed,
+            quanta=self.clock.quanta,
+            edges_traversed=self._edges_traversed,
+            messages_sent=self._messages_sent,
+            messages_processed=self._messages_processed,
+            useful_messages=self._useful_messages,
+            redundant_messages=self._messages_processed - self._useful_messages,
+            coalesced_messages=self._coalesced,
+            activations=self._activations,
+            breakdown=breakdown,
+            traffic=traffic,
+            utilization=utilization,
+            stats=stats,
+            timeline=timeline,
+        )
+
+
+class NovaEngine(NovaDriver):
+    """The vectorized backend: flat cross-PE kernels (the default)."""
+
+    def _build_backend(self) -> None:
+        config = self.config
+        self.inbox_pool = PooledMessageQueue(config.num_pes)
+        self.pending_pool = PooledPendingWork(config.num_pes)
+        self.hbm = BandwidthChannelArray(config.vertex_channel, config.num_pes)
+        self.ddr = BandwidthChannelArray(config.edge_pool, config.num_gpns)
+
+    def _inbox_backlog(self) -> int:
+        return self.inbox_pool.total
+
+    def _messages_drained(self) -> int:
+        return self.inbox_pool.popped
+
+    def _buffer_occupancy(self) -> int:
+        return self.pending_pool.total_entries
 
     def _mpu_phase(self) -> None:
         """Pop one flat message batch across PEs, reduce, track activations."""
@@ -304,9 +590,6 @@ class NovaEngine:
         vertices wait in DRAM and keep absorbing updates -- the enlarged
         coalescing window that gives NOVA its work-efficiency edge.
         """
-        if self.config.vmu_mode == "fifo":
-            self._vmu_phase_fifo(prop_graph)
-            return
         config = self.config
         eligible = (
             self.pending_pool.entries_per_pe < self._supply_target
@@ -461,243 +744,3 @@ class NovaEngine:
         # is dtype-independent, but radix passes are not.
         order = np.argsort(dst_pe.astype(np.uint16), kind="stable")
         self.inbox_pool.push_sorted(dst_pe[order], dests[order], values[order])
-
-    def _close_quantum(self, traffic: np.ndarray) -> None:
-        services = {
-            "hbm": self.hbm.max_service_time(),
-            "ddr": self.ddr.max_service_time(),
-            "reduce_fu": max(
-                p.quantum_service_time() for p in self.reduce_pool
-            ),
-            "propagate_fu": max(
-                p.quantum_service_time() for p in self.propagate_pool
-            ),
-            "fabric": self.fabric.service_time(traffic),
-        }
-        bottleneck = max(services, key=services.get)
-        service = services[bottleneck]
-        start = self.clock.elapsed_seconds
-        duration = self.clock.advance(service)
-        if duration > service:
-            bottleneck = "latency"
-        if self.trace is not None:
-            self._record_trace(start, duration, bottleneck, service)
-        if self._obs_on:
-            self._observe_quantum(services, duration, bottleneck)
-        self.hbm.end_quantum(duration)
-        self.ddr.end_quantum(duration)
-        for pool in self.reduce_pool:
-            pool.end_quantum(duration)
-        for pool in self.propagate_pool:
-            pool.end_quantum(duration)
-        self.fabric.record(traffic)
-        self._deliver()
-
-    def _observe_quantum(
-        self, services: dict, duration: float, bottleneck: str
-    ) -> None:
-        """Feed the metrics recorder (called before resources reset)."""
-        self.obs.on_quantum(
-            QuantumObservation(
-                index=self.clock.quanta - 1,
-                duration_seconds=duration,
-                bottleneck=bottleneck,
-                hbm_util=self.hbm.quantum_utilizations(duration),
-                ddr_util=self.ddr.quantum_utilizations(duration),
-                reduce_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.reduce_pool]
-                ),
-                propagate_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.propagate_pool]
-                ),
-                fabric_util=services["fabric"] / duration if duration > 0 else 0.0,
-                messages_drained=self.inbox_pool.popped,
-                coalesced=self._coalesced,
-                spilled=self._activations,
-                prefetch_hits=self.tracker.prefetch_hits,
-                prefetch_misses=self.tracker.prefetch_misses,
-                inbox_backlog=self.inbox_pool.total,
-                buffer_occupancy=self.pending_pool.total_entries,
-                tracked_blocks=int(self.tracker.counters.sum()),
-            )
-        )
-
-    def _record_trace(
-        self, start: float, duration: float, bottleneck: str, service: float
-    ) -> None:
-        reduced, collected, expanded = (
-            self._messages_processed,
-            self._activations,
-            self._edges_traversed,
-        )
-        prev = self._trace_prev
-        self._trace_prev = (reduced, collected, expanded)
-        self.trace.record(
-            QuantumSample(
-                index=self.clock.quanta - 1,
-                start_seconds=start,
-                duration_seconds=duration,
-                messages_reduced=reduced - prev[0],
-                vertices_collected=collected - prev[1],
-                edges_expanded=expanded - prev[2],
-                inbox_backlog=self.inbox_pool.total,
-                buffer_occupancy=self.pending_pool.total_entries,
-                tracked_blocks=int(self.tracker.counters.sum()),
-                bottleneck=bottleneck,
-                bottleneck_seconds=service,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Drain conditions
-    # ------------------------------------------------------------------
-
-    def _messages_pending(self) -> bool:
-        return self.inbox_pool.any()
-
-    def _propagation_pending(self) -> bool:
-        return (
-            self.tracker.any_work()
-            or self.pending_pool.total_entries > 0
-            or any(len(fifo) for fifo in self.spill_fifos)
-        )
-
-    # ------------------------------------------------------------------
-    # Execution models
-    # ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Execute to completion in the program's declared mode."""
-        if self.program.mode == "bsp":
-            self._run_bsp()
-        else:
-            self._run_async()
-        return self._build_result()
-
-    def _run_async(self) -> None:
-        prof = self.obs.phase_profiler
-        self._inject_active(np.unique(self.program.initial_active(self.state)))
-        while self._messages_pending() or self._propagation_pending():
-            self._check_quota()
-            prop_graph = self.program.propagation_graph(self.state)
-            traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-            if prof is not None and prof.should_sample(self.clock.quanta):
-                timed_call(prof, "mpu", self._mpu_phase)
-                timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                timed_call(prof, "close", self._close_quantum, traffic)
-            else:
-                self._mpu_phase()
-                self._vmu_phase(prop_graph)
-                self._mgu_phase(prop_graph, traffic)
-                self._close_quantum(traffic)
-
-    def _run_bsp(self) -> None:
-        prof = self.obs.phase_profiler
-        supersteps = 0
-        active = np.unique(self.program.initial_active(self.state))
-        while active.shape[0]:
-            self._inject_active(active)
-            # Message generation (red block of Algorithm 1).
-            while self._propagation_pending():
-                self._check_quota()
-                prop_graph = self.program.propagation_graph(self.state)
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-                if prof is not None and prof.should_sample(self.clock.quanta):
-                    timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                    timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                    timed_call(prof, "close", self._close_quantum, traffic)
-                else:
-                    self._vmu_phase(prop_graph)
-                    self._mgu_phase(prop_graph, traffic)
-                    self._close_quantum(traffic)
-            # Message processing (blue block), strictly afterwards.
-            while self._messages_pending():
-                self._check_quota()
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-                if prof is not None and prof.should_sample(self.clock.quanta):
-                    timed_call(prof, "mpu", self._mpu_phase)
-                    timed_call(prof, "close", self._close_quantum, traffic)
-                else:
-                    self._mpu_phase()
-                    self._close_quantum(traffic)
-            active = np.unique(self.program.superstep_end(self.state))
-            supersteps += 1
-        self.stats.set("supersteps", supersteps)
-
-    def _check_quota(self) -> None:
-        if self.clock.quanta >= self.max_quanta:
-            raise SimulationError(
-                f"exceeded {self.max_quanta} quanta; simulation is stuck"
-            )
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def _build_result(self) -> RunResult:
-        config = self.config
-        elapsed = self.clock.elapsed_seconds
-        hbm_useful = self.hbm.total_useful_read_bytes
-        hbm_wasteful = self.hbm.total_wasteful_read_bytes
-        hbm_write = self.hbm.total_write_bytes
-        ddr_bytes = self.ddr.total_bytes
-
-        # Fig 6 attribution: overfetch time is the mean per-PE time spent
-        # reading inactive vertices during superblock scans.
-        per_pe_bw = config.vertex_channel.random_bandwidth
-        overfetch = hbm_wasteful / config.num_pes / per_pe_bw
-        breakdown = {
-            "processing": max(0.0, elapsed - overfetch),
-            "overfetch": min(elapsed, overfetch),
-        }
-        traffic = {
-            "hbm_useful_read_bytes": hbm_useful,
-            "hbm_wasteful_read_bytes": hbm_wasteful,
-            "hbm_write_bytes": hbm_write,
-            "ddr_bytes": ddr_bytes,
-            "network_bytes": self.fabric.total_bytes,
-        }
-        utilization = {
-            "hbm": float(np.mean(self.hbm.utilizations(elapsed))),
-            "ddr": float(np.mean(self.ddr.utilizations(elapsed))),
-            "fabric": self.fabric.busy_seconds / elapsed if elapsed else 0.0,
-            "reduce_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.reduce_pool])
-            ),
-            "propagate_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.propagate_pool])
-            ),
-        }
-        stats = self.stats
-        stats.set("quanta", self.clock.quanta)
-        stats.set("elapsed_seconds", elapsed)
-        cache = stats.child("cache")
-        cache.set("hits", self.cache.lifetime_hits)
-        cache.set("misses", self.cache.lifetime_misses)
-        cache.set("writebacks", self.cache.lifetime_writebacks)
-        timeline = None
-        if self._obs_on:
-            self.obs.publish(stats.child("obs"))
-            timeline = self.obs.timeline_dict()
-        return RunResult(
-            workload=self.program.name,
-            system="nova",
-            num_vertices=self.graph.num_vertices,
-            num_edges=self.graph.num_edges,
-            result=self.program.result(self.state),
-            elapsed_seconds=elapsed,
-            quanta=self.clock.quanta,
-            edges_traversed=self._edges_traversed,
-            messages_sent=self._messages_sent,
-            messages_processed=self._messages_processed,
-            useful_messages=self._useful_messages,
-            redundant_messages=self._messages_processed - self._useful_messages,
-            coalesced_messages=self._coalesced,
-            activations=self._activations,
-            breakdown=breakdown,
-            traffic=traffic,
-            utilization=utilization,
-            stats=stats,
-            timeline=timeline,
-        )

@@ -1,175 +1,62 @@
-"""The seed scalar-loop NOVA engine, kept as the golden reference.
+"""The per-PE scalar-loop NOVA kernels, kept as the golden reference.
 
-This is the original per-PE-loop implementation of the decoupled
-MPU / VMU / MGU pipeline, preserved verbatim when the hot path in
-:mod:`repro.core.engine` was vectorized across PEs.  It serves two
-purposes:
+:class:`ScalarNovaEngine` runs on the same driver as the vectorized
+engine (:class:`repro.core.engine.NovaDriver`: set-up, execution models,
+quantum close, tracing, observability, results) and supplies only its
+backend: one :class:`MessageQueue` inbox, one :class:`PendingWork`
+active buffer and one :class:`BandwidthChannel` per PE (per GPN for
+DDR), the queue read-outs, and the five phase kernels written as the
+seed's per-PE Python loops.  It serves two purposes:
 
-1. **Golden equivalence**: ``tests/core/test_engine_parity.py`` runs
-   both engines on the same inputs and asserts bit-identical results
-   (same ``elapsed_seconds``, message counters, and vertex state) --
-   the vectorized engine is an optimization, not a semantic change.
+1. **Golden equivalence**: ``tests/core/test_engine_parity.py`` and the
+   differential matrix run both engines on the same inputs and assert
+   bit-identical results (same ``elapsed_seconds``, message counters,
+   vertex state, timelines and traces) -- the vectorized kernels, pooled
+   queues and :class:`BandwidthChannelArray` are optimizations, not
+   semantic changes.
 2. **Perf baseline**: ``benchmarks/perf_smoke.py`` measures the
    vectorized engine's quanta/sec against this one.
 
-See :mod:`repro.core.engine` for the pipeline documentation; the two
-files implement the same model.
+See :mod:`repro.core.engine` for the pipeline documentation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPlacement, interleave_placement
-from repro.core.engine import build_fabric, make_fu_pools
-from repro.core.layout import VertexMemoryLayout
-from repro.core.metrics import RunResult
+from repro.core.engine import NovaDriver
 from repro.core.queues import MessageQueue, PendingWork
-from repro.core.tracker import TrackerModule
-from repro.memory.cache import CacheArray
-from repro.memory.channel import BandwidthChannel
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MetricsRecorder,
-    QuantumObservation,
-    timed_call,
-)
-from repro.sim.config import NovaConfig
-from repro.sim.engine import QuantumClock
-from repro.sim.stats import StatGroup
-from repro.sim.trace import QuantumSample, TraceRecorder
-from repro.workloads.base import VertexProgram, expand_edges
+from repro.memory.channel import BandwidthChannelList
+from repro.workloads.base import expand_edges
 
 
-class ScalarNovaEngine:
-    """One end-to-end NOVA execution, per-PE scalar loops (seed semantics)."""
+class ScalarNovaEngine(NovaDriver):
+    """The scalar backend: per-PE loops over per-PE objects (seed semantics)."""
 
-    def __init__(
-        self,
-        config: NovaConfig,
-        graph: CSRGraph,
-        program: VertexProgram,
-        placement: Optional[VertexPlacement] = None,
-        source: Optional[int] = None,
-        max_quanta: int = 5_000_000,
-        trace: bool = False,
-        recorder: Optional[MetricsRecorder] = None,
-    ) -> None:
-        program.check_graph(graph)
-        self.config = config
-        self.graph = graph
-        self.program = program
-        self.source = source
-        self.max_quanta = max_quanta
-        if placement is None:
-            placement = interleave_placement(graph.num_vertices, config.num_pes)
-        self.layout = VertexMemoryLayout(placement, config)
-
-        shard_bytes = self.layout.blocks_per_pe * config.block_bytes
-        if shard_bytes > config.vertex_channel.capacity_bytes:
-            raise ConfigError(
-                f"per-PE vertex shard ({shard_bytes} B) exceeds the HBM "
-                f"channel capacity ({config.vertex_channel.capacity_bytes} B);"
-                " add GPNs or scale the graph"
-            )
-
+    def _build_backend(self) -> None:
+        config = self.config
         p = config.num_pes
-        self.state = program.create_state(graph, source)
-        self.active_now = np.zeros(graph.num_vertices, dtype=bool)
-        self.tracker = TrackerModule(self.layout)
         self.inboxes = [MessageQueue() for _ in range(p)]
         self.pending = [PendingWork() for _ in range(p)]
-        #: Table I's alternative spilling method: per-PE off-chip FIFOs
-        #: of (vertex, value-at-spill) copies.  Only used in "fifo" mode.
-        self.spill_fifos = [MessageQueue() for _ in range(p)]
-        #: FIFO entry: value copy + explicit vertex address (Table I).
-        self._fifo_entry_bytes = config.vertex_bytes + 8
-        self.cache = CacheArray(
-            p, config.cache_bytes_per_pe, config.cache_line_bytes
-        )
-        self.hbm = [BandwidthChannel(config.vertex_channel) for _ in range(p)]
-        self.ddr = [BandwidthChannel(config.edge_pool) for _ in range(config.num_gpns)]
-        self.reduce_pool, self.propagate_pool = make_fu_pools(config)
-        self.fabric = build_fabric(config)
-        self.clock = QuantumClock(
-            config.frequency_hz,
-            config.latency_floor_s + self.fabric.latency_s,
-        )
-        self.stats = StatGroup("nova")
+        self.hbm = BandwidthChannelList(config.vertex_channel, p)
+        self.ddr = BandwidthChannelList(config.edge_pool, config.num_gpns)
 
-        # Derived engine knobs.
-        self._supply_target = config.active_buffer_entries * config.vertices_per_block
-        scan_bytes_budget = (
-            config.vertex_channel.random_bandwidth
-            * config.latency_floor_s
-            * config.quantum_overlap
-        )
-        sb_bytes = config.superblock_dim * config.block_bytes
-        self._max_scans = max(1, int(scan_bytes_budget // sb_bytes))
+    def _inbox_backlog(self) -> int:
+        return sum(len(inbox) for inbox in self.inboxes)
 
-        self.trace = TraceRecorder() if trace else None
-        self._trace_prev = (0, 0, 0)
+    def _messages_drained(self) -> int:
+        return sum(inbox.popped for inbox in self.inboxes)
 
-        #: Metrics recorder; the null default keeps the per-quantum cost
-        #: at a single branch (see repro.obs).
-        self.obs = recorder if recorder is not None else NULL_RECORDER
-        self._obs_on = self.obs.enabled
-
-        # Counters (mirrored into stats at the end).
-        self._edges_traversed = 0
-        self._messages_sent = 0
-        self._messages_processed = 0
-        self._useful_messages = 0
-        self._coalesced = 0
-        self._activations = 0
-        self._outbox: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    def _buffer_occupancy(self) -> int:
+        return sum(work.entries for work in self.pending)
 
     # ------------------------------------------------------------------
     # Pipeline phases
     # ------------------------------------------------------------------
-
-    def _gpn_of(self, pe: int) -> int:
-        return pe // self.config.pes_per_gpn
-
-    def _inject_active(self, vertices: np.ndarray) -> None:
-        """Register newly active vertices with the spill mechanism.
-
-        Tracker mode: set the active flag and count the block (idempotent
-        per block -- Table I's overwrite-in-vertex-set method).  FIFO
-        mode: append a (vertex, value) copy to the owner PE's off-chip
-        buffer -- two writes per spill, duplicate copies allowed, value
-        frozen at spill time.
-        """
-        if vertices.shape[0] == 0:
-            return
-        if self.config.vmu_mode == "fifo":
-            self._spill_to_fifo(vertices)
-            return
-        fresh = vertices[~self.active_now[vertices]]
-        self.active_now[fresh] = True
-        self.tracker.track(fresh)
-        self._activations += int(fresh.shape[0])
-
-    def _spill_to_fifo(self, vertices: np.ndarray) -> None:
-        values = self.program.snapshot(self.state, vertices)
-        pes = self.layout.pe_of(vertices)
-        order = np.argsort(pes, kind="stable")
-        vertices, values, pes = vertices[order], values[order], pes[order]
-        boundaries = np.flatnonzero(np.diff(pes)) + 1
-        for segment in np.split(np.arange(vertices.shape[0]), boundaries):
-            if segment.shape[0] == 0:
-                continue
-            pe = int(pes[segment[0]])
-            self.spill_fifos[pe].push(vertices[segment], values[segment])
-            # Two writes per spill: the vertex set plus the buffer copy.
-            self.hbm[pe].charge_write(
-                segment.shape[0] * self._fifo_entry_bytes, sequential=True
-            )
-        self._activations += int(vertices.shape[0])
 
     def _mpu_phase(self) -> None:
         """Pop message batches per PE, reduce globally, track activations."""
@@ -182,7 +69,7 @@ class ScalarNovaEngine:
             if len(inbox) == 0:
                 continue
             dest, values = inbox.pop(config.mpu_batch_per_pe)
-            self.reduce_pool[self._gpn_of(pe)].charge(dest.shape[0])
+            self.reduce_pool[self._gpn_of_pe[pe]].charge(dest.shape[0])
             dest_parts.append(dest)
             val_parts.append(values)
             pe_parts.append(np.full(dest.shape[0], pe, dtype=np.int64))
@@ -223,9 +110,6 @@ class ScalarNovaEngine:
         vertices wait in DRAM and keep absorbing updates -- the enlarged
         coalescing window that gives NOVA its work-efficiency edge.
         """
-        if self.config.vmu_mode == "fifo":
-            self._vmu_phase_fifo(prop_graph)
-            return
         config = self.config
         program, state = self.program, self.state
         sb_bytes = config.superblock_dim * config.block_bytes
@@ -274,14 +158,7 @@ class ScalarNovaEngine:
             # The active buffer can only absorb what its depth allows per
             # latency window; overflow blocks are dropped and re-tracked
             # (the hardware prefetcher stalls when the buffer is full).
-            budget = max(
-                config.vertices_per_block,
-                int(
-                    config.vmu_supply_rate_per_pe
-                    * config.latency_floor_s
-                    * config.quantum_overlap
-                ),
-            )
+            budget = self._vmu_budget
             kept, overflow = active[:budget], active[budget:]
             if overflow.shape[0]:
                 self.tracker.track(overflow)
@@ -337,7 +214,7 @@ class ScalarNovaEngine:
             nedges = int(dests.shape[0])
             if nedges == 0:
                 continue
-            gpn = self._gpn_of(pe)
+            gpn = self._gpn_of_pe[pe]
             self.ddr[gpn].charge_read(nedges * config.edge_bytes, sequential=True)
             self.propagate_pool[gpn].charge(nedges)
             msg_values = program.propagate_values(state, values[owner_idx], weights)
@@ -366,249 +243,3 @@ class ScalarNovaEngine:
                 continue
             pe = int(dst_pe[segment[0]])
             self.inboxes[pe].push(dests[segment], values[segment])
-
-    def _close_quantum(self, traffic: np.ndarray) -> None:
-        services = {
-            "hbm": max(c.quantum_service_time() for c in self.hbm),
-            "ddr": max(c.quantum_service_time() for c in self.ddr),
-            "reduce_fu": max(
-                p.quantum_service_time() for p in self.reduce_pool
-            ),
-            "propagate_fu": max(
-                p.quantum_service_time() for p in self.propagate_pool
-            ),
-            "fabric": self.fabric.service_time(traffic),
-        }
-        bottleneck = max(services, key=services.get)
-        service = services[bottleneck]
-        start = self.clock.elapsed_seconds
-        duration = self.clock.advance(service)
-        if duration > service:
-            bottleneck = "latency"
-        if self.trace is not None:
-            self._record_trace(start, duration, bottleneck, service)
-        if self._obs_on:
-            self._observe_quantum(services, duration, bottleneck)
-        for channel in self.hbm:
-            channel.end_quantum(duration)
-        for channel in self.ddr:
-            channel.end_quantum(duration)
-        for pool in self.reduce_pool:
-            pool.end_quantum(duration)
-        for pool in self.propagate_pool:
-            pool.end_quantum(duration)
-        self.fabric.record(traffic)
-        self._deliver()
-
-    def _observe_quantum(
-        self, services: dict, duration: float, bottleneck: str
-    ) -> None:
-        """Feed the metrics recorder (called before resources reset)."""
-        self.obs.on_quantum(
-            QuantumObservation(
-                index=self.clock.quanta - 1,
-                duration_seconds=duration,
-                bottleneck=bottleneck,
-                hbm_util=np.array(
-                    [c.quantum_utilization(duration) for c in self.hbm]
-                ),
-                ddr_util=np.array(
-                    [c.quantum_utilization(duration) for c in self.ddr]
-                ),
-                reduce_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.reduce_pool]
-                ),
-                propagate_fu_util=np.array(
-                    [p.quantum_utilization(duration) for p in self.propagate_pool]
-                ),
-                fabric_util=services["fabric"] / duration if duration > 0 else 0.0,
-                messages_drained=sum(q.popped for q in self.inboxes),
-                coalesced=self._coalesced,
-                spilled=self._activations,
-                prefetch_hits=self.tracker.prefetch_hits,
-                prefetch_misses=self.tracker.prefetch_misses,
-                inbox_backlog=sum(len(inbox) for inbox in self.inboxes),
-                buffer_occupancy=sum(w.entries for w in self.pending),
-                tracked_blocks=int(self.tracker.counters.sum()),
-            )
-        )
-
-    def _record_trace(
-        self, start: float, duration: float, bottleneck: str, service: float
-    ) -> None:
-        reduced, collected, expanded = (
-            self._messages_processed,
-            self._activations,
-            self._edges_traversed,
-        )
-        prev = self._trace_prev
-        self._trace_prev = (reduced, collected, expanded)
-        self.trace.record(
-            QuantumSample(
-                index=self.clock.quanta - 1,
-                start_seconds=start,
-                duration_seconds=duration,
-                messages_reduced=reduced - prev[0],
-                vertices_collected=collected - prev[1],
-                edges_expanded=expanded - prev[2],
-                inbox_backlog=sum(len(inbox) for inbox in self.inboxes),
-                buffer_occupancy=sum(w.entries for w in self.pending),
-                tracked_blocks=int(self.tracker.counters.sum()),
-                bottleneck=bottleneck,
-                bottleneck_seconds=service,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Drain conditions
-    # ------------------------------------------------------------------
-
-    def _messages_pending(self) -> bool:
-        return any(len(inbox) for inbox in self.inboxes)
-
-    def _propagation_pending(self) -> bool:
-        return (
-            self.tracker.any_work()
-            or any(work.entries for work in self.pending)
-            or any(len(fifo) for fifo in self.spill_fifos)
-        )
-
-    # ------------------------------------------------------------------
-    # Execution models
-    # ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Execute to completion in the program's declared mode."""
-        if self.program.mode == "bsp":
-            self._run_bsp()
-        else:
-            self._run_async()
-        return self._build_result()
-
-    def _run_async(self) -> None:
-        prof = self.obs.phase_profiler
-        self._inject_active(np.unique(self.program.initial_active(self.state)))
-        while self._messages_pending() or self._propagation_pending():
-            self._check_quota()
-            prop_graph = self.program.propagation_graph(self.state)
-            traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-            if prof is not None and prof.should_sample(self.clock.quanta):
-                timed_call(prof, "mpu", self._mpu_phase)
-                timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                timed_call(prof, "close", self._close_quantum, traffic)
-            else:
-                self._mpu_phase()
-                self._vmu_phase(prop_graph)
-                self._mgu_phase(prop_graph, traffic)
-                self._close_quantum(traffic)
-
-    def _run_bsp(self) -> None:
-        prof = self.obs.phase_profiler
-        supersteps = 0
-        active = np.unique(self.program.initial_active(self.state))
-        while active.shape[0]:
-            self._inject_active(active)
-            # Message generation (red block of Algorithm 1).
-            while self._propagation_pending():
-                self._check_quota()
-                prop_graph = self.program.propagation_graph(self.state)
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-                if prof is not None and prof.should_sample(self.clock.quanta):
-                    timed_call(prof, "vmu", self._vmu_phase, prop_graph)
-                    timed_call(prof, "mgu", self._mgu_phase, prop_graph, traffic)
-                    timed_call(prof, "close", self._close_quantum, traffic)
-                else:
-                    self._vmu_phase(prop_graph)
-                    self._mgu_phase(prop_graph, traffic)
-                    self._close_quantum(traffic)
-            # Message processing (blue block), strictly afterwards.
-            while self._messages_pending():
-                self._check_quota()
-                traffic = np.zeros((self.config.num_pes, self.config.num_pes))
-                if prof is not None and prof.should_sample(self.clock.quanta):
-                    timed_call(prof, "mpu", self._mpu_phase)
-                    timed_call(prof, "close", self._close_quantum, traffic)
-                else:
-                    self._mpu_phase()
-                    self._close_quantum(traffic)
-            active = np.unique(self.program.superstep_end(self.state))
-            supersteps += 1
-        self.stats.set("supersteps", supersteps)
-
-    def _check_quota(self) -> None:
-        if self.clock.quanta >= self.max_quanta:
-            raise SimulationError(
-                f"exceeded {self.max_quanta} quanta; simulation is stuck"
-            )
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def _build_result(self) -> RunResult:
-        config = self.config
-        elapsed = self.clock.elapsed_seconds
-        hbm_useful = sum(c.totals.useful_read_bytes for c in self.hbm)
-        hbm_wasteful = sum(c.totals.wasteful_read_bytes for c in self.hbm)
-        hbm_write = sum(c.totals.write_bytes for c in self.hbm)
-        ddr_bytes = sum(c.totals.total_bytes for c in self.ddr)
-
-        # Fig 6 attribution: overfetch time is the mean per-PE time spent
-        # reading inactive vertices during superblock scans.
-        per_pe_bw = config.vertex_channel.random_bandwidth
-        overfetch = hbm_wasteful / config.num_pes / per_pe_bw
-        breakdown = {
-            "processing": max(0.0, elapsed - overfetch),
-            "overfetch": min(elapsed, overfetch),
-        }
-        traffic = {
-            "hbm_useful_read_bytes": hbm_useful,
-            "hbm_wasteful_read_bytes": hbm_wasteful,
-            "hbm_write_bytes": hbm_write,
-            "ddr_bytes": ddr_bytes,
-            "network_bytes": self.fabric.total_bytes,
-        }
-        utilization = {
-            "hbm": float(np.mean([c.utilization(elapsed) for c in self.hbm])),
-            "ddr": float(np.mean([c.utilization(elapsed) for c in self.ddr])),
-            "fabric": self.fabric.busy_seconds / elapsed if elapsed else 0.0,
-            "reduce_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.reduce_pool])
-            ),
-            "propagate_fu": float(
-                np.mean([p.utilization(elapsed) for p in self.propagate_pool])
-            ),
-        }
-        stats = self.stats
-        stats.set("quanta", self.clock.quanta)
-        stats.set("elapsed_seconds", elapsed)
-        cache = stats.child("cache")
-        cache.set("hits", self.cache.lifetime_hits)
-        cache.set("misses", self.cache.lifetime_misses)
-        cache.set("writebacks", self.cache.lifetime_writebacks)
-        timeline = None
-        if self._obs_on:
-            self.obs.publish(stats.child("obs"))
-            timeline = self.obs.timeline_dict()
-        return RunResult(
-            workload=self.program.name,
-            system="nova",
-            num_vertices=self.graph.num_vertices,
-            num_edges=self.graph.num_edges,
-            result=self.program.result(self.state),
-            elapsed_seconds=elapsed,
-            quanta=self.clock.quanta,
-            edges_traversed=self._edges_traversed,
-            messages_sent=self._messages_sent,
-            messages_processed=self._messages_processed,
-            useful_messages=self._useful_messages,
-            redundant_messages=self._messages_processed - self._useful_messages,
-            coalesced_messages=self._coalesced,
-            activations=self._activations,
-            breakdown=breakdown,
-            traffic=traffic,
-            utilization=utilization,
-            stats=stats,
-            timeline=timeline,
-        )

@@ -324,6 +324,53 @@ class BandwidthChannelArray:
         )
 
 
+class BandwidthChannelList(list):
+    """``count`` independent :class:`BandwidthChannel` objects in a list.
+
+    The per-channel counterpart of :class:`BandwidthChannelArray`: each
+    entry is charged through its own object (``bank[i].charge_read``),
+    while the quantum and lifetime read-outs share the array's method
+    names, so one engine driver reads either bank.
+    """
+
+    def __init__(self, spec: MemorySpec, count: int) -> None:
+        super().__init__(BandwidthChannel(spec) for _ in range(count))
+
+    def charge_write_at(
+        self, i: int, nbytes: int, *, sequential: bool = False
+    ) -> None:
+        self[i].charge_write(nbytes, sequential=sequential)
+
+    def max_service_time(self) -> float:
+        return max(c.quantum_service_time() for c in self)
+
+    def quantum_utilizations(self, quantum_seconds: float) -> np.ndarray:
+        return np.array([c.quantum_utilization(quantum_seconds) for c in self])
+
+    def end_quantum(self, quantum_seconds: float) -> None:
+        for channel in self:
+            channel.end_quantum(quantum_seconds)
+
+    def utilizations(self, elapsed_seconds: float) -> np.ndarray:
+        return np.array([c.utilization(elapsed_seconds) for c in self])
+
+    @property
+    def total_useful_read_bytes(self) -> int:
+        return sum(c.totals.useful_read_bytes for c in self)
+
+    @property
+    def total_wasteful_read_bytes(self) -> int:
+        return sum(c.totals.wasteful_read_bytes for c in self)
+
+    @property
+    def total_write_bytes(self) -> int:
+        return sum(c.totals.write_bytes for c in self)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(c.totals.total_bytes for c in self)
+
+
 class ChannelGroup:
     """A named collection of channels sharing a quantum boundary."""
 

@@ -1,8 +1,8 @@
 """Per-quantum metrics recorders for the NOVA engines.
 
-Both :class:`~repro.core.engine.NovaEngine` and
-:class:`~repro.core.engine_scalar.ScalarNovaEngine` call the same hook
-once per quantum (guarded by a single precomputed flag, so the default
+The one NOVA engine driver (:class:`~repro.core.engine.NovaDriver`,
+shared by the vectorized and scalar kernel sets) calls this hook once
+per quantum (guarded by a single precomputed flag, so the default
 :class:`NullRecorder` costs one branch):
 
 - :class:`TimelineRecorder` keeps a ring buffer of per-quantum rows --

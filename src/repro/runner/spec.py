@@ -39,9 +39,9 @@ from repro.obs.config import ObsConfig
 class GraphSpec:
     """A reproducible recipe for a graph.
 
-    ``spec`` uses the CLI's specifier syntax (``rmat:14:16``,
+    ``spec`` is a graph specifier (``rmat:14:16``,
     ``urand:100000:3000000``, ``suite:twitter``, or a file path -- see
-    :func:`repro.cli.build_graph`).  ``scale`` applies to ``suite:``
+    :mod:`repro.graph.specifier`).  ``scale`` applies to ``suite:``
     graphs only (the Table III stand-ins are scale-parameterized).
     """
 
@@ -92,9 +92,9 @@ class GraphSpec:
                 raise ConfigError(
                     "GraphSpec.scale only applies to suite: graphs"
                 )
-            from repro.cli import build_graph
+            from repro.graph.specifier import graph_from_specifier
 
-            graph = build_graph(self.spec, seed=self.seed)
+            graph = graph_from_specifier(self.spec, seed=self.seed)
         if self.symmetrized:
             graph = graph.symmetrized()
         if self.weighted and not graph.has_weights:

@@ -65,3 +65,15 @@ def seconds_to_human(seconds: float) -> str:
         if seconds >= scale:
             return f"{seconds / scale:.3f} {name}"
     return f"{seconds:.3g} s"
+
+
+_SIZE_UNITS = {"kib": KiB, "mib": MiB, "gib": GiB, "b": 1}
+
+
+def parse_size(text: str) -> int:
+    """Parse '64KiB' / '1.5MiB' / '4096' into bytes."""
+    lowered = text.strip().lower()
+    for suffix, unit in _SIZE_UNITS.items():
+        if lowered.endswith(suffix):
+            return int(float(lowered[: -len(suffix)]) * unit)
+    return int(lowered)

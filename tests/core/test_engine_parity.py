@@ -13,8 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.system import NovaSystem
-from repro.graph.generators import with_uniform_weights
+from repro.core.engine import NovaEngine
+from repro.core.engine_scalar import ScalarNovaEngine
+from repro.core.system import NovaSystem, make_placement
+from repro.graph.generators import rmat, with_uniform_weights
+from repro.workloads import get_workload
 
 
 def run_both(config, graph, workload, source=None, **kwargs):
@@ -84,6 +87,41 @@ def test_fifo_vmu_mode_parity(two_gpn_config, rmat_graph):
     source = int(np.argmax(rmat_graph.out_degrees()))
     scalar, vectorized = run_both(config, rmat_graph, "bfs", source=source)
     assert_identical(scalar, vectorized)
+
+
+@pytest.mark.parametrize("vmu_mode", ("tracker", "fifo"))
+@pytest.mark.parametrize("workload", ("bfs", "pr"))
+def test_trace_parity(two_gpn_config, workload, vmu_mode):
+    """``trace=True`` rows match across engines, async (bfs) and BSP (pr).
+
+    The ``inbox_backlog`` and ``buffer_occupancy`` columns come from each
+    backend's own queue read-outs, so this also pins those read-outs.  A
+    dense graph and one-latency-floor batches keep both columns non-zero.
+    """
+    graph = rmat(10, 32, seed=5)
+    config = two_gpn_config.with_updates(vmu_mode=vmu_mode, quantum_overlap=1.0)
+    placement = make_placement("random", graph, config.num_pes, seed=1)
+    if workload == "bfs":
+        source, kwargs = int(np.argmax(graph.out_degrees())), {}
+    else:
+        source, kwargs = None, {"max_supersteps": 3}
+    traces = []
+    for engine_cls in (ScalarNovaEngine, NovaEngine):
+        engine = engine_cls(
+            config,
+            graph,
+            get_workload(workload, **kwargs),
+            placement=placement,
+            source=source,
+            trace=True,
+        )
+        run = engine.run()
+        assert len(engine.trace) == run.quanta > 0
+        traces.append(engine.trace.samples)
+    scalar, vectorized = traces
+    assert vectorized == scalar
+    assert any(sample.inbox_backlog for sample in scalar)
+    assert any(sample.buffer_occupancy for sample in scalar)
 
 
 def test_vectorized_answers_match_reference_oracle(two_gpn_config, rmat_graph):

@@ -1,13 +1,19 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.cli import build_graph, main, parse_size
+import repro
+from repro.cli import main
 from repro.errors import ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
-from repro.units import KiB, MiB
+from repro.graph.specifier import graph_from_specifier as build_graph
+from repro.units import KiB, MiB, parse_size
 
 
 class TestParseSize:
@@ -20,6 +26,28 @@ class TestParseSize:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             parse_size("lots")
+
+
+def test_library_graph_and_size_paths_skip_the_cli():
+    """Only ``repro.__main__`` imports ``repro.cli``: building a graph
+    from a specifier and lowering a PolyGraph job with ``onchip`` (its
+    size parser) stay inside the library."""
+    code = "\n".join([
+        "import sys",
+        "from repro.runner.spec import GraphSpec",
+        "from repro.service.store import JobSpec",
+        "GraphSpec('rmat:8:8').build()",
+        "JobSpec(workload='bfs', graph='rmat:8:8', system='polygraph',",
+        "        onchip='64KiB').to_run_spec()",
+        "assert 'repro.cli' not in sys.modules",
+    ])
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, REPRO_GRAPH_STORE="0", PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestGraphSpecs:
@@ -170,12 +198,12 @@ class TestCommands:
         assert payload["phases"]["quanta_sampled"] > 0
         assert "fault_counters" in payload
 
-    def test_profile_scalar_engine_no_phases(self, tmp_path, capsys):
+    def test_profile_no_phases(self, tmp_path, capsys):
         import json
 
         out = str(tmp_path / "profile.json")
         assert main(["profile", "--graph", "rmat:8:8", "--workload", "pr",
-                     "--engine", "scalar", "--pr-supersteps", "3",
+                     "--pr-supersteps", "3",
                      "--no-phases", "--json", out]) == 0
         with open(out, encoding="utf-8") as f:
             payload = json.load(f)
