@@ -42,8 +42,13 @@ from repro import (
 from repro.core.metrics import RunResult
 from repro.errors import SweepFailure
 from repro.graph import suites
-from repro.graph.generators import with_uniform_weights
-from repro.runner import RunFailure, RunSpec, SweepRunner, SweepStats
+from repro.runner import (
+    GraphSpec,
+    RunFailure,
+    RunSpec,
+    SweepRunner,
+    SweepStats,
+)
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1.0 / 256.0))
 PR_STEPS = int(os.environ.get("REPRO_BENCH_PR_STEPS", 5))
@@ -71,25 +76,25 @@ def emit(title: str, lines: List[str]) -> None:
 # Graphs and sources
 # ----------------------------------------------------------------------
 
-_WEIGHTED_CACHE: Dict[str, object] = {}
 _SOURCE_CACHE: Dict[str, int] = {}
 
 
-def bench_graph(name: str):
-    return suites.build_graph(name, scale=BENCH_SCALE)
+def bench_graph(name: str, **variant):
+    """One suite graph at ``BENCH_SCALE``, mapped from the graph store.
+
+    ``variant`` takes :class:`~repro.runner.GraphSpec`'s ``weighted`` /
+    ``symmetrized`` flags; every variant derives from the one stored
+    base graph, so a figure rerun builds nothing.
+    """
+    return GraphSpec(f"suite:{name}", scale=BENCH_SCALE, **variant).build()
 
 
 def bench_weighted_graph(name: str):
-    if name not in _WEIGHTED_CACHE:
-        _WEIGHTED_CACHE[name] = with_uniform_weights(bench_graph(name), seed=7)
-    return _WEIGHTED_CACHE[name]
+    return bench_graph(name, weighted=True)
 
 
 def bench_symmetric_graph(name: str):
-    key = name + ":sym"
-    if key not in _WEIGHTED_CACHE:
-        _WEIGHTED_CACHE[key] = bench_graph(name).symmetrized()
-    return _WEIGHTED_CACHE[key]
+    return bench_graph(name, symmetrized=True)
 
 
 def bench_source(name: str) -> int:

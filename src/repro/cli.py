@@ -498,7 +498,8 @@ def _cmd_graph_build(args: argparse.Namespace) -> int:
         digest = spec_digest(gspec)
         known = store.load(digest) is not None
         start = time.perf_counter()
-        graph = store.get_or_build(gspec, gspec.build_uncached)
+        # Variants derive from their base through this same store.
+        graph = store.get_or_build(gspec, lambda: gspec.build_uncached(store))
         elapsed = time.perf_counter() - start
         action = "mapped" if known else "built"
         flags = "".join(

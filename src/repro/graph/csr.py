@@ -4,6 +4,10 @@ This is the on-disk/in-memory layout the accelerator operates on: a
 ``row_ptr`` array of ``V + 1`` offsets, an ``col_idx`` array of ``E``
 destination vertices, and an optional ``weights`` array of ``E`` edge
 weights (SSSP and BC use them; BFS/CC/PR ignore them).
+
+:meth:`CSRGraph.from_edges` orders edges by one combined ``int64`` key,
+``src * V + dst``, which is exact while ``V * V <= 2**63 - 1``
+(:data:`MAX_KEY_VERTICES`, about 3.04 billion vertices).
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphFormatError
+
+#: Largest vertex count whose edge key ``src * V + dst`` is exact in
+#: ``int64``: ``V * V <= 2**63 - 1``.
+MAX_KEY_VERTICES = 3_037_000_499
 
 
 class CSRGraph:
@@ -86,6 +94,16 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a CSR graph from parallel source/destination arrays.
 
+        Edges are ordered by ``(src, dst)`` through one combined key,
+        ``src * num_vertices + dst``: sorting that single ``int64`` is
+        the same order as a two-key lexicographic sort, at a fraction
+        of the cost.  Unweighted edges sort the keys themselves (equal
+        keys are equal edges, so stability is moot); weighted edges
+        take a stable argsort, which is exactly the lexicographic
+        permutation, so duplicate edges keep their input weight order.
+        The key is exact while ``num_vertices**2 <= 2**63 - 1``
+        (:data:`MAX_KEY_VERTICES`); larger vertex spaces are refused.
+
         Args:
             src, dst: edge endpoint arrays of equal length.
             num_vertices: the vertex-id space size.
@@ -99,6 +117,12 @@ class CSRGraph:
             raise GraphFormatError("src and dst must be equal-length 1-D arrays")
         if num_vertices <= 0:
             raise GraphFormatError("num_vertices must be positive")
+        if num_vertices > MAX_KEY_VERTICES:
+            raise GraphFormatError(
+                f"num_vertices={num_vertices} exceeds {MAX_KEY_VERTICES}, "
+                "the largest vertex space whose src*V+dst edge key fits "
+                "in int64"
+            )
         if src.size:
             lo = min(src.min(), dst.min())
             hi = max(src.max(), dst.max())
@@ -109,25 +133,30 @@ class CSRGraph:
             if weights.shape != src.shape:
                 raise GraphFormatError("weights must match edges in length")
 
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if weights is not None:
+        key = src * num_vertices
+        key += dst
+        if weights is None:
+            key.sort()
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
             weights = weights[order]
-        if dedup and src.size:
-            keep = np.empty(src.shape[0], dtype=bool)
+            del order
+        if dedup and key.size:
+            keep = np.empty(key.shape[0], dtype=bool)
             keep[0] = True
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
             if weights is not None:
                 # Duplicate edges keep their minimum weight.
-                group_ids = np.cumsum(keep) - 1
-                mins = np.full(group_ids[-1] + 1, np.inf)
-                np.minimum.at(mins, group_ids, weights)
-                weights = mins
-            src, dst = src[keep], dst[keep]
+                weights = np.minimum.reduceat(weights, np.flatnonzero(keep))
+            key = key[keep]
 
-        counts = np.bincount(src, minlength=num_vertices)
-        row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
+        # Vertex v's edges start at the first key >= v * V; the keys then
+        # become the destinations in place.
+        row_ptr = np.searchsorted(
+            key, np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+        )
+        dst = np.remainder(key, num_vertices, out=key)
         return cls(row_ptr, dst, weights)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,10 @@ synthetic graphs with the same *structural archetypes*:
 - :func:`uniform_random` -- Erdos-Renyi multigraphs (the paper's "Urand").
 
 All generators take an explicit seed and are deterministic for a given
-(numpy version, seed) pair.
+(numpy version, seed) pair; ``tests/graph/test_golden_digests.py`` pins
+the bytes they produce.  :func:`power_law` samples endpoints by an
+exact bucketed inverse CDF (:func:`_inverse_cdf`), which returns what
+``np.searchsorted`` would for the same random draws.
 """
 
 from __future__ import annotations
@@ -23,8 +26,59 @@ from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 
 
+#: Equal-width buckets over [0, 1) that :func:`_inverse_cdf` resolves
+#: needles into; a power of two, so a needle's bucket is exact.
+_CDF_BUCKETS = 1 << 20
+
+#: Needles resolved per step, bounding every temporary to this length.
+_CDF_BLOCK = 1 << 20
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _bucket_bounds(cum: np.ndarray) -> np.ndarray:
+    """``bounds[k]``: the count of ``cum`` entries below ``k / _CDF_BUCKETS``."""
+    return np.searchsorted(
+        cum, np.arange(_CDF_BUCKETS + 1, dtype=np.float64) / _CDF_BUCKETS
+    )
+
+
+def _inverse_cdf(
+    cum: np.ndarray, needles: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """``np.searchsorted(cum, needles)`` for needles in [0, 1), bucketed.
+
+    ``cum`` is sorted and ``bounds`` is :func:`_bucket_bounds` of it.  A
+    needle ``r`` falls in bucket ``k = floor(r * K)``; because ``K`` is a
+    power of two, ``r * K`` and ``k / K`` are exact, so
+    ``k / K <= r < (k + 1) / K`` and the answer (the count of ``cum``
+    entries below ``r``) lies in ``[bounds[k], bounds[k + 1]]``.  A
+    bucket holding no ``cum`` entry pins it to ``bounds[k]``; needles in
+    the other buckets bisect inside their bucket, all at once, so even
+    a bucket holding thousands of entries costs only a logarithmic
+    number of steps.
+    """
+    occupied = bounds[1:] != bounds[:-1]
+    out = np.empty(needles.shape[0], dtype=np.int64)
+    for start in range(0, needles.shape[0], _CDF_BLOCK):
+        r = needles[start : start + _CDF_BLOCK]
+        bucket = (r * _CDF_BUCKETS).astype(np.int64)
+        found = out[start : start + r.shape[0]]
+        np.take(bounds, bucket, out=found)
+        open_ = np.flatnonzero(occupied[bucket])
+        lo, hi, key = found[open_], bounds[bucket[open_] + 1], r[open_]
+        while open_.size:
+            mid = (lo + hi) >> 1
+            below = cum[mid] < key
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+            done = lo == hi
+            found[open_[done]] = lo[done]
+            rest = ~done
+            open_, lo, hi, key = open_[rest], lo[rest], hi[rest], key[rest]
+    return out
 
 
 def uniform_random(
@@ -111,8 +165,9 @@ def power_law(
     # cumulative weight vector.
     cum = np.cumsum(weights)
     cum /= cum[-1]
-    src = np.searchsorted(cum, rng.random(num_edges)).astype(np.int64)
-    dst = np.searchsorted(cum, rng.random(num_edges)).astype(np.int64)
+    bounds = _bucket_bounds(cum)
+    src = _inverse_cdf(cum, rng.random(num_edges), bounds)
+    dst = _inverse_cdf(cum, rng.random(num_edges), bounds)
     return CSRGraph.from_edges(src, dst, num_vertices, dedup=dedup)
 
 

@@ -26,13 +26,19 @@ so a recipe and the graph it builds hit the same cache entry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPlacement
 from repro.obs.config import ObsConfig
+
+if TYPE_CHECKING:
+    from repro.graph.store import GraphStore
+
+#: ``GraphSpec.weight_seed``'s default, carried by unweighted base recipes.
+_DEFAULT_WEIGHT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -50,58 +56,72 @@ class GraphSpec:
     scale: Optional[float] = None
     weighted: bool = False
     symmetrized: bool = False
-    weight_seed: int = 7
+    weight_seed: int = _DEFAULT_WEIGHT_SEED
 
-    def build(self) -> CSRGraph:
+    def build(self, store: Optional["GraphStore"] = None) -> CSRGraph:
         """Materialize the graph: memo, then artifact store, then build.
 
         With the store enabled (the default), the returned graph's
         arrays are read-only ``np.memmap`` views of the published
         artifact -- the kernel page cache shares the bytes across every
-        process mapping the same recipe.  ``REPRO_GRAPH_STORE=0`` opts
-        out and builds in process memory.
+        process mapping the same recipe.  ``store`` picks the artifact
+        store (default: :func:`~repro.graph.store.default_store_dir`);
+        ``REPRO_GRAPH_STORE=0`` opts out of the default one and builds
+        in process memory.
         """
         cached = _GRAPH_MEMO.get(self)
         if cached is not None:
             return cached
         from repro.graph import store as graph_store
 
-        if graph_store.store_enabled():
-            graph = graph_store.GraphStore().get_or_build(
-                self, self.build_uncached
+        if store is None and graph_store.store_enabled():
+            store = graph_store.GraphStore()
+        if store is not None:
+            graph = store.get_or_build(
+                self, lambda: self.build_uncached(store)
             )
         else:
             graph = self.build_uncached()
         _GRAPH_MEMO.put(self, graph)
         return graph
 
-    def build_uncached(self) -> CSRGraph:
-        """Materialize the graph in process memory, bypassing the store."""
+    def build_uncached(
+        self, store: Optional["GraphStore"] = None
+    ) -> CSRGraph:
+        """Build this recipe's graph, bypassing the memo and store for it.
+
+        A weighted or symmetrized variant derives from its base recipe
+        through :meth:`build` (memo, then ``store``), so one generator
+        run serves every variant of a graph: weights are attached last,
+        to the symmetrized graph when both flags are set.  The base of
+        a variant carries the default ``weight_seed``, which an
+        unweighted graph does not depend on.
+        """
+        if self.weighted:
+            from repro.graph.generators import with_uniform_weights
+
+            graph = replace(
+                self, weighted=False, weight_seed=_DEFAULT_WEIGHT_SEED
+            ).build(store)
+            return with_uniform_weights(graph, seed=self.weight_seed)
+        if self.symmetrized:
+            return replace(
+                self, symmetrized=False, weight_seed=_DEFAULT_WEIGHT_SEED
+            ).build(store).symmetrized()
         if self.spec.startswith("suite:"):
             from repro.graph import suites
 
             name = self.spec.partition(":")[2]
             if self.scale is not None:
-                graph = suites.build_graph(
+                return suites.build_graph(
                     name, scale=self.scale, seed=self.seed
                 )
-            else:
-                graph = suites.build_graph(name, seed=self.seed)
-        else:
-            if self.scale is not None:
-                raise ConfigError(
-                    "GraphSpec.scale only applies to suite: graphs"
-                )
-            from repro.graph.specifier import graph_from_specifier
+            return suites.build_graph(name, seed=self.seed)
+        if self.scale is not None:
+            raise ConfigError("GraphSpec.scale only applies to suite: graphs")
+        from repro.graph.specifier import graph_from_specifier
 
-            graph = graph_from_specifier(self.spec, seed=self.seed)
-        if self.symmetrized:
-            graph = graph.symmetrized()
-        if self.weighted and not graph.has_weights:
-            from repro.graph.generators import with_uniform_weights
-
-            graph = with_uniform_weights(graph, seed=self.weight_seed)
-        return graph
+        return graph_from_specifier(self.spec, seed=self.seed)
 
 
 class _GraphMemo:

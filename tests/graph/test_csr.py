@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import MAX_KEY_VERTICES, CSRGraph
 
 
 class TestConstruction:
@@ -206,3 +206,83 @@ class TestPropertyBased:
         g = CSRGraph.from_edges(src, dst, n)
         assert g.out_degrees().sum() == g.num_edges
         assert g.in_degrees().sum() == g.num_edges
+
+
+def lexsort_from_edges(src, dst, n, weights=None, dedup=False):
+    """The two-key ``np.lexsort`` construction ``from_edges`` replaced."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = weights[order]
+    if dedup and src.size:
+        keep = np.empty(src.shape[0], dtype=bool)
+        keep[0] = True
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        if weights is not None:
+            group_ids = np.cumsum(keep) - 1
+            mins = np.full(group_ids[-1] + 1, np.inf)
+            np.minimum.at(mins, group_ids, weights)
+            weights = mins
+        src, dst = src[keep], dst[keep]
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
+    return row_ptr, dst, weights
+
+
+class TestCombinedKey:
+    """``from_edges``'s combined ``src * V + dst`` key sort is the
+    lexicographic order, duplicate weights included."""
+
+    @given(
+        edge_lists(),
+        st.booleans(),
+        st.booleans(),
+        st.lists(st.integers(0, 9), min_size=120, max_size=120),
+    )
+    @example((1, np.zeros(5, np.int64), np.zeros(5, np.int64)), True, True,
+             [3, 1, 4, 1, 5] + [0] * 115)
+    @example((1, np.zeros(0, np.int64), np.zeros(0, np.int64)), False, True,
+             [0] * 120)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort(self, data, weighted, dedup, weight_draw):
+        n, src, dst = data
+        weights = None
+        if weighted:
+            # Few distinct values, so repeated pairs carry ties and
+            # distinct weights alike: an unstable order would show.
+            weights = np.asarray(weight_draw[: src.size], dtype=np.float64)
+        g = CSRGraph.from_edges(src, dst, n, weights=weights, dedup=dedup)
+        row_ptr, col_idx, ref_weights = lexsort_from_edges(
+            src, dst, n, weights, dedup
+        )
+        assert np.array_equal(g.row_ptr, row_ptr)
+        assert np.array_equal(g.col_idx, col_idx)
+        if weighted:
+            assert np.array_equal(g.weights, ref_weights)
+        else:
+            assert g.weights is None
+
+    def test_inputs_untouched(self):
+        src = np.array([2, 0, 1, 0])
+        dst = np.array([0, 1, 2, 1])
+        CSRGraph.from_edges(src, dst, 3, dedup=True)
+        assert src.tolist() == [2, 0, 1, 0]
+        assert dst.tolist() == [0, 1, 2, 1]
+
+    def test_key_limit(self):
+        assert MAX_KEY_VERTICES ** 2 <= 2 ** 63 - 1
+        assert (MAX_KEY_VERTICES + 1) ** 2 > 2 ** 63 - 1
+
+    def test_oversized_vertex_space_refused_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="int64"):
+                CSRGraph.from_edges(
+                    np.array([0]), np.array([1]), MAX_KEY_VERTICES + 1
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
+from repro.graph import generators
 from repro.graph.generators import (
+    _bucket_bounds,
+    _inverse_cdf,
     power_law,
     rmat,
     road_grid,
@@ -94,6 +97,69 @@ class TestPowerLaw:
             power_law(10, -1.0)
         with pytest.raises(GraphFormatError):
             power_law(10, 4.0, exponent=0.5)
+
+
+class TestInverseCdf:
+    """The bucketed lookup is ``np.searchsorted`` exactly."""
+
+    K = generators._CDF_BUCKETS
+
+    def check(self, cum, needles):
+        needles = np.asarray(needles, dtype=np.float64)
+        assert needles.min() >= 0.0 and needles.max() < 1.0
+        got = _inverse_cdf(cum, needles, _bucket_bounds(cum))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cum, needles))
+
+    def test_bucket_edges_cum_entries_and_zero(self):
+        rng = np.random.default_rng(0)
+        cum = np.cumsum(rng.pareto(0.9, size=5000) + 1.0)
+        cum /= cum[-1]
+        inner = cum[:-1]
+        needles = np.concatenate([
+            [0.0],
+            np.arange(0, self.K, 97) / self.K,  # exact bucket edges
+            inner,  # exactly equal to cum entries
+            np.nextafter(inner, 0.0),
+            np.nextafter(inner, 1.0),
+            rng.random(20_000),
+        ])
+        self.check(cum, needles[needles < 1.0])
+
+    def test_repeated_cum_values(self):
+        cum = np.array([0.1, 0.1, 0.1, 0.5, 0.5, 0.5, 0.75, 1.0, 1.0])
+        self.check(cum, [0.0, 0.05, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.99])
+
+    def test_cum_below_one(self):
+        """Needles past the last entry resolve to ``len(cum)``."""
+        cum = np.array([0.2, 0.4])
+        self.check(cum, [0.0, 0.2, 0.3, 0.4, 0.5, 0.999])
+
+    def test_dense_bucket(self):
+        """One bucket holding thousands of entries still bisects."""
+        k = 314_159
+        dense = (k + np.arange(1, 3001) / 4096) / self.K
+        cum = np.concatenate([[0.25], dense, [0.5, 1.0]])
+        bounds = _bucket_bounds(cum)
+        assert bounds[k + 1] - bounds[k] == 3000
+        rng = np.random.default_rng(1)
+        needles = np.concatenate([
+            dense,
+            np.nextafter(dense, 0.0),
+            (k + rng.random(5000)) / self.K,
+            [k / self.K, (k + 1) / self.K, 0.0],
+        ])
+        self.check(cum, needles)
+
+    def test_many_blocks(self, monkeypatch):
+        """Every block resolves its own bisecting needles."""
+        monkeypatch.setattr(generators, "_CDF_BLOCK", 7)
+        rng = np.random.default_rng(2)
+        cum = np.cumsum(rng.random(300))
+        cum /= cum[-1]
+        above = np.nextafter(cum[:-1], 1.0)  # answers past bounds[k]
+        needles = np.stack([rng.random(299), above]).T.ravel()
+        self.check(cum, needles)
 
 
 class TestRoadGrid:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat
+from repro.graph.generators import rmat, with_uniform_weights
 from repro.graph.store import (
     MANIFEST_NAME,
     GraphStore,
@@ -311,6 +311,92 @@ class TestEnvGates:
         monkeypatch.setenv("REPRO_GRAPH_STORE_MAX_BYTES", "lots")
         with pytest.raises(ConfigError):
             store.get_or_build(SPEC, SPEC.build_uncached)
+
+
+class TestVariants:
+    """Weighted and symmetrized recipes derive from their base recipe."""
+
+    BASE = GraphSpec("suite:twitter", seed=3, scale=1 / 8192)
+
+    @pytest.fixture
+    def generator_calls(self, monkeypatch):
+        from repro.graph import suites
+
+        calls = []
+        original = suites.power_law
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "power_law", counting)
+        return calls
+
+    def test_base_then_weighted_generates_once(
+        self, tmp_path, monkeypatch, generator_calls
+    ):
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        from dataclasses import replace
+
+        weighted = replace(self.BASE, weighted=True, weight_seed=11)
+        base_graph = self.BASE.build()
+        weighted_graph = weighted.build()
+        assert len(generator_calls) == 1
+        assert np.array_equal(weighted_graph.col_idx, base_graph.col_idx)
+        expected = with_uniform_weights(base_graph, seed=11)
+        assert np.array_equal(weighted_graph.weights, expected.weights)
+
+    def test_variants_map_the_published_base(
+        self, tmp_path, monkeypatch, generator_calls
+    ):
+        """With the memo cold, a variant maps its base instead of
+        regenerating it; weights attach after symmetrization."""
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs"))
+        from dataclasses import replace
+
+        base_graph = self.BASE.build()
+        _GRAPH_MEMO.clear()
+        both = replace(self.BASE, weighted=True, symmetrized=True)
+        graph, delta = counters_delta(both.build)
+        assert len(generator_calls) == 1
+        # Miss on both, build both variants, map the published base.
+        assert delta["graph_store.builds"] == 2
+        assert delta["graph_store.hits"] == 1
+        expected = with_uniform_weights(base_graph.symmetrized(), seed=7)
+        assert np.array_equal(graph.row_ptr, expected.row_ptr)
+        assert np.array_equal(graph.col_idx, expected.col_idx)
+        assert np.array_equal(graph.weights, expected.weights)
+
+    def test_disabled_store_generates_once(self, monkeypatch, generator_calls):
+        from dataclasses import replace
+
+        monkeypatch.setenv("REPRO_GRAPH_STORE", "0")
+        self.BASE.build()
+        replace(self.BASE, symmetrized=True).build()
+        replace(self.BASE, weighted=True).build()
+        assert len(generator_calls) == 1
+
+    def test_cli_build_derives_through_store_dir(
+        self, tmp_path, monkeypatch, capsys, generator_calls
+    ):
+        """``repro graph build --store-dir`` publishes the base it
+        derives from into that store, not the default one."""
+        from repro.cli import main
+
+        default = tmp_path / "default"
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(default))
+        chosen = GraphStore(str(tmp_path / "chosen"))
+        assert main([
+            "graph", "build", "--graph", "suite:twitter", "--seed", "3",
+            "--scale", str(1 / 8192), "--workloads", "sssp,cc",
+            "--store-dir", chosen.root,
+        ]) == 0
+        assert len(generator_calls) == 1
+        digests = {digest for digest, _, _, _ in chosen.entries()}
+        assert spec_digest(self.BASE) in digests
+        assert len(digests) == 3  # base, weighted, symmetrized
+        assert not default.exists()
+        capsys.readouterr()
 
 
 class TestMemmapGraphBehaviour:
