@@ -89,14 +89,6 @@ def bench_graph(name: str, **variant):
     return GraphSpec(f"suite:{name}", scale=BENCH_SCALE, **variant).build()
 
 
-def bench_weighted_graph(name: str):
-    return bench_graph(name, weighted=True)
-
-
-def bench_symmetric_graph(name: str):
-    return bench_graph(name, symmetrized=True)
-
-
 def bench_source(name: str) -> int:
     if name not in _SOURCE_CACHE:
         graph = bench_graph(name)
@@ -131,11 +123,11 @@ _RUNNER = SweepRunner(
 
 
 def _graph_for(workload: str, graph_name: str):
-    if workload == "sssp":
-        return bench_weighted_graph(graph_name)
-    if workload == "cc":
-        return bench_symmetric_graph(graph_name)
-    return bench_graph(graph_name)
+    return bench_graph(
+        graph_name,
+        weighted=(workload == "sssp"),
+        symmetrized=(workload == "cc"),
+    )
 
 
 def _workload_kwargs(workload: str) -> dict:

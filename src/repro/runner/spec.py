@@ -67,13 +67,19 @@ class GraphSpec:
         process mapping the same recipe.  ``store`` picks the artifact
         store (default: :func:`~repro.graph.store.default_store_dir`);
         ``REPRO_GRAPH_STORE=0`` opts out of the default one and builds
-        in process memory.
+        in process memory.  A store rooted anywhere else bypasses the
+        memo, which is keyed by recipe alone: every recipe resolved
+        through it, derived bases included, lands in that store.
         """
-        cached = _GRAPH_MEMO.get(self)
-        if cached is not None:
-            return cached
         from repro.graph import store as graph_store
 
+        use_memo = (
+            store is None or store.root == graph_store.default_store_dir()
+        )
+        if use_memo:
+            cached = _GRAPH_MEMO.get(self)
+            if cached is not None:
+                return cached
         if store is None and graph_store.store_enabled():
             store = graph_store.GraphStore()
         if store is not None:
@@ -82,7 +88,8 @@ class GraphSpec:
             )
         else:
             graph = self.build_uncached()
-        _GRAPH_MEMO.put(self, graph)
+        if use_memo:
+            _GRAPH_MEMO.put(self, graph)
         return graph
 
     def build_uncached(
@@ -93,9 +100,10 @@ class GraphSpec:
         A weighted or symmetrized variant derives from its base recipe
         through :meth:`build` (memo, then ``store``), so one generator
         run serves every variant of a graph: weights are attached last,
-        to the symmetrized graph when both flags are set.  The base of
-        a variant carries the default ``weight_seed``, which an
-        unweighted graph does not depend on.
+        to the symmetrized graph when both flags are set, and only when
+        the base has none of its own (a weighted file keeps its
+        weights).  The base of a variant carries the default
+        ``weight_seed``, which an unweighted graph does not depend on.
         """
         if self.weighted:
             from repro.graph.generators import with_uniform_weights
@@ -103,6 +111,8 @@ class GraphSpec:
             graph = replace(
                 self, weighted=False, weight_seed=_DEFAULT_WEIGHT_SEED
             ).build(store)
+            if graph.has_weights:
+                return graph
             return with_uniform_weights(graph, seed=self.weight_seed)
         if self.symmetrized:
             return replace(

@@ -398,6 +398,49 @@ class TestVariants:
         assert not default.exists()
         capsys.readouterr()
 
+    def test_explicit_store_bypasses_a_warm_memo(
+        self, tmp_path, monkeypatch, generator_calls
+    ):
+        """A base already memoized from the default store still lands
+        in a store passed explicitly when a variant derives from it."""
+        from dataclasses import replace
+
+        monkeypatch.setenv("REPRO_GRAPH_STORE_DIR", str(tmp_path / "default"))
+        self.BASE.build()
+        chosen = GraphStore(str(tmp_path / "chosen"))
+        symmetrized = replace(self.BASE, symmetrized=True)
+        symmetrized.build(chosen)
+        digests = {digest for digest, _, _, _ in chosen.entries()}
+        assert digests == {spec_digest(self.BASE), spec_digest(symmetrized)}
+
+    @pytest.mark.parametrize("use_store", [True, False])
+    def test_weighted_file_keeps_its_weights(
+        self, tmp_path, monkeypatch, use_store
+    ):
+        """``weighted=True`` attaches random weights only to a graph
+        that has none: a DIMACS file's own weights survive, also
+        through symmetrization."""
+        from repro.graph.io import load_dimacs, save_dimacs
+
+        if use_store:
+            monkeypatch.setenv(
+                "REPRO_GRAPH_STORE_DIR", str(tmp_path / "graphs")
+            )
+        else:
+            monkeypatch.setenv("REPRO_GRAPH_STORE", "0")
+        path = str(tmp_path / "g.gr")
+        save_dimacs(with_uniform_weights(rmat(7, 4, seed=2), seed=9), path)
+        on_file = load_dimacs(path)
+        for symmetrized in (False, True):
+            _GRAPH_MEMO.clear()
+            expected = on_file.symmetrized() if symmetrized else on_file
+            graph = GraphSpec(
+                path, weighted=True, symmetrized=symmetrized
+            ).build()
+            assert np.array_equal(graph.row_ptr, expected.row_ptr)
+            assert np.array_equal(graph.col_idx, expected.col_idx)
+            assert np.array_equal(graph.weights, expected.weights)
+
 
 class TestMemmapGraphBehaviour:
     """A store-mapped CSRGraph must behave exactly like the built one."""
