@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -49,6 +48,7 @@ from repro.runner import (
     SweepRunner,
     SweepStats,
 )
+from repro.runner.spec import SOURCELESS_WORKLOADS, resolve_source
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1.0 / 256.0))
 PR_STEPS = int(os.environ.get("REPRO_BENCH_PR_STEPS", 5))
@@ -76,9 +76,6 @@ def emit(title: str, lines: List[str]) -> None:
 # Graphs and sources
 # ----------------------------------------------------------------------
 
-_SOURCE_CACHE: Dict[str, int] = {}
-
-
 def bench_graph(name: str, **variant):
     """One suite graph at ``BENCH_SCALE``, mapped from the graph store.
 
@@ -90,10 +87,7 @@ def bench_graph(name: str, **variant):
 
 
 def bench_source(name: str) -> int:
-    if name not in _SOURCE_CACHE:
-        graph = bench_graph(name)
-        _SOURCE_CACHE[name] = int(np.argmax(graph.out_degrees()))
-    return _SOURCE_CACHE[name]
+    return resolve_source(bench_graph(name), "bfs")
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +117,9 @@ _RUNNER = SweepRunner(
 
 
 def _graph_for(workload: str, graph_name: str):
-    return bench_graph(
-        graph_name,
-        weighted=(workload == "sssp"),
-        symmetrized=(workload == "cc"),
-    )
+    return GraphSpec.for_workload(
+        f"suite:{graph_name}", workload, scale=BENCH_SCALE
+    ).build()
 
 
 def _workload_kwargs(workload: str) -> dict:
@@ -135,7 +127,9 @@ def _workload_kwargs(workload: str) -> dict:
 
 
 def _source_for(workload: str, graph_name: str) -> Optional[int]:
-    return None if workload in ("cc", "pr") else bench_source(graph_name)
+    if workload in SOURCELESS_WORKLOADS:
+        return None
+    return bench_source(graph_name)
 
 
 def _nova_case(

@@ -27,6 +27,21 @@ Commands:
 - ``info``      print the system configuration (Table II) and tracker sizing
 - ``resources`` print Table IV terascale requirements
 
+Every command that describes one run -- ``run``, ``profile``,
+``submit`` and each (workload, gpns, source) cell of a ``sweep`` /
+``report`` grid -- lowers its flags through one
+:class:`~repro.service.store.JobSpec` (:func:`_job_spec`), so a cell
+has one cache key whichever front end runs it.  Each shared flag is
+declared once, by an ``_add_*_args`` helper per group: graph and seed;
+NOVA knobs (``--scale``, always NOVA's capacity scale against Table II,
+``--placement``, ``--pr-supersteps``); one cell (``--workload``,
+``--gpns``, ``--source``); system (``--system``, ``--onchip``);
+``--timeline``; ``--cache-dir``; the job client (``--url``,
+``--client``, ``--priority``, ``--wait``, ``--wait-timeout``); and the
+service process (``--host``, ``--port``, ``--state-dir``, queue and
+worker counts, ``--drain-timeout``).  Comma-separated lists parse
+through one argparse type (:func:`_comma_list`).
+
 Graph specifiers (for ``--graph`` and ``generate --kind``, e.g.
 ``rmat:16:16``, ``suite:twitter`` or a file path) are listed in
 :mod:`repro.graph.specifier`.
@@ -39,85 +54,66 @@ import os
 import sys
 from typing import Optional
 
-from repro import (
-    LigraConfig,
-    LigraModel,
-    NovaSystem,
-    PolyGraphConfig,
-    PolyGraphSystem,
-    scaled_config,
-)
+from repro import NovaSystem, scaled_config
 from repro.analysis.resources import terascale_requirements
 from repro.errors import ConfigError, ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import with_uniform_weights
 from repro.graph.specifier import graph_from_specifier
-from repro.units import MiB, bytes_to_human, parse_size, rate_to_human
+from repro.units import bytes_to_human, parse_size, rate_to_human
+from repro.workloads import get_workload, workload_names
 
 
-def _run_config(args: argparse.Namespace):
-    """The system config a ``repro run`` invocation describes."""
-    if args.system == "nova":
-        config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-        if args.vmu_mode != "tracker":
-            config = config.with_updates(vmu_mode=args.vmu_mode)
-        return config
-    if args.system == "polygraph":
-        onchip = (
-            parse_size(args.onchip) if args.onchip else int(32 * MiB * args.scale)
-        )
-        return PolyGraphConfig(onchip_bytes=onchip)
-    return LigraConfig()
+def _job_spec(args: argparse.Namespace, **cell):
+    """The :class:`JobSpec` these flags describe: the one lowering of
+    every run front end.
+
+    Each JobSpec field takes the value of the flag of the same name;
+    ``cell`` sets the fields a grid enumerates (``workload``, ``gpns``,
+    ``source``).  PageRank carries ``--pr-supersteps``.
+    """
+    import dataclasses
+
+    from repro.service.store import JobSpec
+
+    names = {f.name for f in dataclasses.fields(JobSpec)}
+    fields = {k: v for k, v in vars(args).items() if k in names}
+    fields.update(cell)
+    if fields["workload"] == "pr":
+        fields["workload_kwargs"] = {"max_supersteps": args.pr_supersteps}
+    return JobSpec(**fields)
+
+
+def _write(path: str, text: str) -> None:
+    """Write a command's ``--json``/``--md`` output file and say so."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import GraphSpec, RunCache, RunSpec, execute_spec, spec_key
-    from repro.runner.spec import resolve_source
+    from repro.runner import RunCache, execute_spec, spec_key
 
-    workload = args.workload
-    gspec = GraphSpec(
-        args.graph,
-        seed=args.seed,
-        weighted=(workload == "sssp"),
-        symmetrized=(workload == "cc"),
-    )
-    graph = gspec.build()
-    source = resolve_source(graph, workload, args.source)
-    kwargs = {}
-    if workload == "pr":
-        kwargs["max_supersteps"] = args.pr_supersteps
-    config = _run_config(args)
+    spec = _job_spec(args).to_run_spec()
+    if spec.system == "nova" and args.vmu_mode != "tracker":
+        spec.config = spec.config.with_updates(vmu_mode=args.vmu_mode)
 
     # Single runs go through the same content-addressed cache as sweeps
     # and service jobs, so a repeated run (from any front end) is a hit.
     # --verify runs uncached: the oracle pass decorates the result with
     # reference counts the cache key does not distinguish.
     if args.verify or args.no_cache:
-        if args.system == "nova":
-            system = NovaSystem(config, graph, placement=args.placement)
-            print(system.describe())
-        elif args.system == "polygraph":
-            system = PolyGraphSystem(config, graph)
-            print(
-                f"PolyGraph: on-chip {bytes_to_human(config.onchip_bytes)}, "
-                f"memory {rate_to_human(system.config.memory.peak_bandwidth)}"
+        print(f"uncached {spec.describe()}")
+        run = execute_spec(spec)
+        if args.verify:
+            from repro.core.system import verify_result
+
+            program = get_workload(spec.workload, **spec.workload_kwargs)
+            expected, run.reference_edges = program.reference(
+                spec.resolve_graph(), spec.source
             )
-        else:
-            system = LigraModel(config, graph)
-            print("Ligra software model (8 cores, 32 MiB L3, 400 GB/s)")
-        run = system.run(
-            workload, source=source, compute_reference=args.verify, **kwargs
-        )
+            verify_result(spec.workload, run.result, expected)
     else:
-        spec = RunSpec(
-            workload,
-            gspec,
-            config=config,
-            system=args.system,
-            source=source,
-            placement=args.placement,
-            workload_kwargs=kwargs,
-        )
         cache = RunCache(args.cache_dir)
         key = spec_key(spec)
         run = cache.load(key)
@@ -147,66 +143,35 @@ def _sweep_grid(args: argparse.Namespace):
     Both subcommands must resolve the *same* grid from the same
     arguments -- ``repro report`` recomputes the sweep's cache keys to
     read its results without re-running anything -- so the grid logic
-    lives here.  Returns ``(specs, rows)`` with rows of
-    ``(workload, gpns, source)`` aligned with the specs.
+    lives here.  Each cell lowers through :func:`_job_spec`, like a
+    ``repro run`` of the same inputs.  Returns ``(specs, rows)`` with
+    rows of ``(workload, gpns, source)`` aligned with the specs.
     """
-    from repro.core.harness import sample_sources
-    from repro.obs import ObsConfig
-    from repro.runner import GraphSpec, RunSpec
+    import dataclasses
 
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    known = ("bfs", "cc", "sssp", "pr", "bc")
-    for workload in workloads:
-        if workload not in known:
-            raise ConfigError(
-                f"unknown workload {workload!r}; choose from {', '.join(known)}"
-            )
-    gpn_counts = [int(g) for g in args.gpns.split(",")]
-    obs = (
-        ObsConfig(timeline=True)
-        if getattr(args, "timeline", False)
-        else None
-    )
+    from repro.core.harness import sample_sources
+    from repro.runner import GraphSpec
+    from repro.runner.spec import SOURCELESS_WORKLOADS
 
     specs = []
     rows = []  # (workload, gpns, source) aligned with specs
-    for workload in workloads:
-        # One GraphSpec recipe per workload variant: --seed flows into
-        # the build (and so into the content-addressed key) on every
-        # path, and run/sweep/service submissions of the same inputs
-        # digest to the same cache entry.
-        gspec = GraphSpec(
-            args.graph,
-            seed=args.seed,
-            weighted=(workload == "sssp"),
-            symmetrized=(workload == "cc"),
-        )
-        graph = gspec.build()
-        if workload in ("cc", "pr"):
-            sources = [None]
-        else:
+    for workload in args.workloads:
+        # The cells' jobs are checked before their graph is built.
+        jobs = [_job_spec(args, workload=workload, gpns=g) for g in args.gpns]
+        sources = [None]
+        if workload not in SOURCELESS_WORKLOADS:
+            graph = GraphSpec.for_workload(
+                args.graph, workload, seed=args.seed
+            ).build()
             sources = [
                 int(s)
                 for s in sample_sources(graph, args.sources, seed=args.seed)
             ]
-        kwargs = (
-            {"max_supersteps": args.pr_supersteps} if workload == "pr" else {}
-        )
-        for gpns in gpn_counts:
-            config = scaled_config(num_gpns=gpns, scale=args.scale)
+        for job in jobs:
             for source in sources:
-                specs.append(
-                    RunSpec(
-                        workload,
-                        gspec,
-                        config=config,
-                        source=source,
-                        placement=args.placement,
-                        workload_kwargs=kwargs,
-                        obs=obs,
-                    )
-                )
-                rows.append((workload, gpns, source))
+                cell = dataclasses.replace(job, source=source)
+                specs.append(cell.to_run_spec())
+                rows.append((workload, cell.gpns, source))
     return specs, rows
 
 
@@ -223,16 +188,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     specs, rows = _sweep_grid(args)
 
-    policy = RetryPolicy.from_env()
-    if args.timeout is not None or args.retries is not None:
-        updates = {}
-        if args.timeout is not None:
-            updates["timeout_seconds"] = args.timeout
-        if args.retries is not None:
-            updates["retries"] = args.retries
-        import dataclasses
+    import dataclasses
 
-        policy = dataclasses.replace(policy, **updates)
+    overrides = {"timeout_seconds": args.timeout, "retries": args.retries}
+    policy = dataclasses.replace(
+        RetryPolicy.from_env(),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
     runner = SweepRunner(
         workers=args.workers,
         cache_dir=args.cache_dir,
@@ -288,11 +250,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Per-sweep counter deltas, not the process-cumulative registry:
         # consecutive sweeps in one process each report their own counts.
         print(render_counts(stats.fault_counters))
-        seen = set()
-        for failure in failures:
-            if failure.key in seen:
-                continue
-            seen.add(failure.key)
+        # Duplicate slots alias one key and share its failure.
+        for failure in {failure.key: failure for failure in failures}.values():
             print(f"  failed: {failure.describe()}")
     if checkpoint is not None:
         if stats.failed:
@@ -313,10 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.runner import RunCache, SweepCheckpoint, spec_key
 
-    group_by = tuple(
-        dim.strip() for dim in args.group_by.split(",") if dim.strip()
-    )
-    for dim in group_by:
+    for dim in args.group_by:
         if dim not in GROUPABLE_DIMS:
             raise ConfigError(
                 f"cannot group by {dim!r}; choose from "
@@ -357,7 +313,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 gpns=gpns,
                 source=source,
                 result=result,
-                pes=spec.config.num_pes if spec.config is not None else None,
+                pes=spec.config.num_pes,
             )
         )
     if not found:
@@ -370,18 +326,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
 
     report = SweepReport(
-        entries, group_by=group_by, z_threshold=args.z_threshold
+        entries, group_by=tuple(args.group_by), z_threshold=args.z_threshold
     )
     markdown = report.render_markdown()
     print(markdown, end="")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(report.to_json())
-        print(f"wrote {args.json}", file=sys.stderr)
+        _write(args.json, report.to_json())
     if args.md:
-        with open(args.md, "w", encoding="utf-8") as f:
-            f.write(markdown)
-        print(f"wrote {args.md}", file=sys.stderr)
+        _write(args.md, markdown)
     return 0
 
 
@@ -396,22 +348,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         trace_span,
     )
 
-    from repro.runner import GraphSpec
-    from repro.runner.spec import resolve_source
-
-    workload = args.workload
-    gspec = GraphSpec(
-        args.graph,
-        seed=args.seed,
-        weighted=(workload == "sssp"),
-        symmetrized=(workload == "cc"),
-    )
-    graph = gspec.build()
-    source = resolve_source(graph, workload, args.source)
-    kwargs = {}
-    if workload == "pr":
-        kwargs["max_supersteps"] = args.pr_supersteps
-
+    spec = _job_spec(args).to_run_spec()
     obs = ObsConfig(
         timeline=True,
         timeline_capacity=args.timeline_capacity,
@@ -419,16 +356,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         phase_sample_every=args.phase_every,
     )
     recorder = make_recorder(obs)
-    config = scaled_config(num_gpns=args.gpns, scale=args.scale)
-    system = NovaSystem(config, graph, placement=args.placement)
+    system = NovaSystem(
+        spec.config,
+        spec.resolve_graph(),
+        placement=spec.placement,
+        seed=spec.placement_seed,
+    )
     # `--json` with no path streams the machine-readable report to
     # stdout; the rendered view moves to stderr so stdout stays pure
     # JSON for pipelines (`repro profile --json | jq ...`).
     json_stdout = args.json == "-"
     view = sys.stderr if json_stdout else sys.stdout
     print(system.describe(), file=view)
-    with trace_span("cli.profile", workload=workload, graph=args.graph):
-        run = system.run(workload, source=source, recorder=recorder, **kwargs)
+    with trace_span("cli.profile", workload=spec.workload, graph=args.graph):
+        run = system.run(
+            spec.workload,
+            source=spec.source,
+            max_quanta=spec.max_quanta,
+            recorder=recorder,
+            **spec.workload_kwargs,
+        )
     print(run.describe(), file=view)
     print(file=view)
     report = BottleneckReport.from_timeline(run.timeline)
@@ -458,34 +405,32 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _graph_variants(args: argparse.Namespace):
     """The GraphSpec recipes a ``repro graph build`` invocation names.
 
-    ``--workloads`` mirrors the sweep grid's per-workload variants
-    (sssp runs weighted, cc symmetrized), so prebuilding with the same
-    workload list guarantees the sweep's exact artifacts exist.
+    ``--workloads`` builds the per-workload variants a sweep over those
+    workloads maps (:meth:`GraphSpec.for_workload`), so prebuilding with
+    the same workload list guarantees the sweep's exact artifacts exist.
     """
     from repro.runner import GraphSpec
 
+    fields = {"seed": args.seed, "scale": args.suite_scale}
     if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        variants = {}
-        for workload in workloads:
-            gspec = GraphSpec(
-                args.graph,
-                seed=args.seed,
-                scale=args.scale,
-                weighted=(workload == "sssp"),
-                symmetrized=(workload == "cc"),
-            )
-            variants[gspec] = None  # de-dup, preserve order
-        return list(variants)
+        variants = (
+            GraphSpec.for_workload(args.graph, workload, **fields)
+            for workload in args.workloads
+        )
+        return list(dict.fromkeys(variants))  # de-dup, preserve order
     return [
         GraphSpec(
             args.graph,
-            seed=args.seed,
-            scale=args.scale,
             weighted=args.weighted,
             symmetrized=args.symmetrized,
+            **fields,
         )
     ]
+
+
+def _variant_label(spec: str, weighted: bool, symmetrized: bool) -> str:
+    """``spec`` tagged ``+w`` (weighted) and ``+sym`` (symmetrized)."""
+    return spec + ("+w" if weighted else "") + ("+sym" if symmetrized else "")
 
 
 def _cmd_graph_build(args: argparse.Namespace) -> int:
@@ -502,16 +447,9 @@ def _cmd_graph_build(args: argparse.Namespace) -> int:
         graph = store.get_or_build(gspec, lambda: gspec.build_uncached(store))
         elapsed = time.perf_counter() - start
         action = "mapped" if known else "built"
-        flags = "".join(
-            label
-            for label, on in (
-                ("+w", gspec.weighted),
-                ("+sym", gspec.symmetrized),
-            )
-            if on
-        )
+        label = _variant_label(gspec.spec, gspec.weighted, gspec.symmetrized)
         print(
-            f"{action} {digest[:12]} {gspec.spec}{flags} "
+            f"{action} {digest[:12]} {label} "
             f"V={graph.num_vertices} E={graph.num_edges} "
             f"({elapsed:.2f}s, {store.root})"
         )
@@ -524,53 +462,44 @@ def _cmd_graph_ls(args: argparse.Namespace) -> int:
     from repro.graph.store import GraphStore
 
     store = GraphStore(args.store_dir)
-    entries = list(store.entries())
-    if getattr(args, "json", False):
+    now = time.time()
+    rows = []
+    for digest, size, mtime, manifest in sorted(
+        store.entries(), key=lambda item: item[2], reverse=True
+    ):
+        prov = manifest.get("provenance") or {}
+        spec_fields = prov.get("spec") or {}
+        rows.append({
+            "digest": digest,
+            "spec": spec_fields.get("spec"),
+            "weighted": bool(spec_fields.get("weighted")),
+            "symmetrized": bool(spec_fields.get("symmetrized")),
+            "num_vertices": manifest.get("num_vertices", 0),
+            "num_edges": manifest.get("num_edges", 0),
+            "bytes": size,
+            "age_seconds": max(0.0, now - mtime),
+        })
+    total = sum(row["bytes"] for row in rows)
+    if args.json:
         import json
 
-        now = time.time()
-        rows = []
-        for digest, size, mtime, manifest in sorted(
-            entries, key=lambda item: item[2], reverse=True
-        ):
-            prov = manifest.get("provenance") or {}
-            spec_fields = prov.get("spec") or {}
-            rows.append({
-                "digest": digest,
-                "spec": spec_fields.get("spec"),
-                "weighted": bool(spec_fields.get("weighted")),
-                "symmetrized": bool(spec_fields.get("symmetrized")),
-                "num_vertices": manifest.get("num_vertices", 0),
-                "num_edges": manifest.get("num_edges", 0),
-                "bytes": size,
-                "age_seconds": max(0.0, now - mtime),
-            })
         payload = {
             "root": str(store.root),
             "artifacts": rows,
-            "total_bytes": sum(row["bytes"] for row in rows),
+            "total_bytes": total,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if not entries:
+    if not rows:
         print(f"no graph artifacts in {store.root}")
         return 0
     print(f"{'digest':>12} {'spec':>24} {'V':>9} {'E':>11} {'size':>10} "
           f"{'last use':>9}")
-    total = 0
-    now = time.time()
-    for digest, size, mtime, manifest in sorted(
-        entries, key=lambda item: item[2], reverse=True
-    ):
-        total += size
-        prov = manifest.get("provenance") or {}
-        spec_fields = prov.get("spec") or {}
-        label = spec_fields.get("spec", "?")
-        if spec_fields.get("weighted"):
-            label += "+w"
-        if spec_fields.get("symmetrized"):
-            label += "+sym"
-        age = max(0.0, now - mtime)
+    for row in rows:
+        label = _variant_label(
+            row["spec"] or "?", row["weighted"], row["symmetrized"]
+        )
+        age = row["age_seconds"]
         if age < 120:
             age_text = f"{age:.0f}s ago"
         elif age < 7200:
@@ -578,12 +507,11 @@ def _cmd_graph_ls(args: argparse.Namespace) -> int:
         else:
             age_text = f"{age / 3600:.0f}h ago"
         print(
-            f"{digest[:12]:>12} {label:>24} "
-            f"{manifest.get('num_vertices', 0):>9} "
-            f"{manifest.get('num_edges', 0):>11} "
-            f"{bytes_to_human(size):>10} {age_text:>9}"
+            f"{row['digest'][:12]:>12} {label:>24} "
+            f"{row['num_vertices']:>9} {row['num_edges']:>11} "
+            f"{bytes_to_human(row['bytes']):>10} {age_text:>9}"
         )
-    print(f"{len(entries)} artifact(s), {bytes_to_human(total)} in {store.root}")
+    print(f"{len(rows)} artifact(s), {bytes_to_human(total)} in {store.root}")
     return 0
 
 
@@ -670,45 +598,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _job_spec_from_args(args: argparse.Namespace) -> dict:
-    """A JSON job spec mirroring one ``repro run`` invocation."""
-    spec = {
-        "workload": args.workload,
-        "graph": args.graph,
-        "seed": args.seed,
-        "system": args.system,
-        "gpns": args.gpns,
-        "scale": args.scale,
-        "placement": args.placement,
-        "timeline": args.timeline,
-    }
-    if args.source is not None:
-        spec["source"] = args.source
-    if args.workload == "pr":
-        spec["workload_kwargs"] = {"max_supersteps": args.pr_supersteps}
-    return spec
+def _service(args: argparse.Namespace, role: str, **options):
+    """The :class:`ReproService` a ``serve`` or ``worker`` process runs.
 
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
-
+    Its runner, queue and drain come from the shared service flags; the
+    job journal defaults to ``<cache-dir>/<role>``.  ``options`` are
+    the command's own service settings.
+    """
     from repro.runner import SweepRunner, default_cache_dir
     from repro.service import ReproService
-    from repro.service.worker import LocalWorkerPool
 
-    runner = SweepRunner(
-        workers=args.run_workers, cache_dir=args.cache_dir
-    )
+    runner = SweepRunner(workers=args.run_workers, cache_dir=args.cache_dir)
     state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "service"
+        args.cache_dir or default_cache_dir(), role
     )
-    service = ReproService(
+    return ReproService(
         state_dir,
         runner=runner,
         max_queue_depth=args.queue_depth,
         job_workers=args.job_workers,
         drain_timeout=args.drain_timeout,
+        **options,
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.service.worker import LocalWorkerPool
+
+    service = _service(
+        args,
+        "service",
         lease_seconds=args.lease,
         max_requeues=args.max_requeues,
         quota_max_active=args.quota_max_active,
@@ -725,14 +646,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"repro service listening on http://{args.host}:{port}",
             flush=True,
         )
-        print(f"  state: {state_dir}", flush=True)
-        print(f"  cache: {runner.cache.root}", flush=True)
+        print(f"  state: {service.store.root}", flush=True)
+        print(f"  cache: {service.runner.cache.root}", flush=True)
         if args.workers > 0:
             pool = LocalWorkerPool(
                 f"http://{args.host}:{port}",
                 count=args.workers,
-                cache_dir=runner.cache.root,
-                state_root=os.path.join(state_dir, "fleet"),
+                cache_dir=service.runner.cache.root,
+                state_root=os.path.join(service.store.root, "fleet"),
                 host=args.host,
                 lease_seconds=args.lease,
             )
@@ -761,25 +682,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
-    from repro.runner import SweepRunner, default_cache_dir
-    from repro.service import ReproService
     from repro.service.worker import WorkerAgent
 
-    runner = SweepRunner(
-        workers=args.run_workers, cache_dir=args.cache_dir
-    )
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "worker"
-    )
-    service = ReproService(
-        state_dir,
-        runner=runner,
-        max_queue_depth=args.queue_depth,
-        job_workers=args.job_workers,
-        drain_timeout=args.drain_timeout,
-    )
+    service = _service(args, "worker")
 
     async def main() -> dict:
         port = await service.start(args.host, args.port)
@@ -797,7 +703,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             flush=True,
         )
         print(f"  coordinator: {args.coordinator}", flush=True)
-        print(f"  cache: {runner.cache.root}", flush=True)
+        print(f"  cache: {service.runner.cache.root}", flush=True)
         assert service._stop is not None
         await service._stop.wait()
         await agent.stop()
@@ -818,21 +724,24 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import TERMINAL_STATES
-    from repro.service.client import ServiceClient
+def _settle(client, job: dict, args: argparse.Namespace) -> int:
+    """Follow a submitted job: print its state (with ``--wait``, until it
+    settles), then a finished job's summary -- writing the payload to
+    ``--json`` where the command has it -- or a failed job's error."""
+    import json
 
-    client = ServiceClient(args.url)
-    job = client.submit(
-        _job_spec_from_args(args), client=args.client, priority=args.priority
-    )
+    from repro.service import TERMINAL_STATES
+
     suffix = " (served from cache)" if job.get("cached") else ""
     print(f"job {job['id']}: {job['state']}{suffix}")
     if args.wait and job["state"] not in TERMINAL_STATES:
         job = client.wait(job["id"], timeout=args.wait_timeout)
         print(f"job {job['id']}: {job['state']}")
     if job["state"] == "done" and (args.wait or job.get("cached")):
-        print(client.result(job["id"])["result"]["summary"])
+        payload = client.result(job["id"])
+        print(payload["result"]["summary"])
+        if getattr(args, "json", None):
+            _write(args.json, json.dumps(payload, indent=2, sort_keys=True))
     if job["state"] == "failed":
         print(
             f"error: {job.get('error_type')}: {job.get('error_message')}",
@@ -842,12 +751,25 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_submit(args: argparse.Namespace) -> int:
+    client = _client(args)
+    job = client.submit(
+        _job_spec(args).to_dict(), client=args.client, priority=args.priority
+    )
+    return _settle(client, job, args)
+
+
+def _client(args: argparse.Namespace):
+    """The client of the service at ``--url``."""
+    from repro.service.client import ServiceClient
+
+    return ServiceClient(args.url)
+
+
 def _cmd_status(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     if args.job:
         print(json.dumps(client.job(args.job), indent=2, sort_keys=True))
         return 0
@@ -876,16 +798,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_fetch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     payload = client.result(args.job)
     print(payload["result"]["summary"], file=sys.stderr)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.json}", file=sys.stderr)
+        _write(args.json, text)
     else:
         print(text)
     return 0
@@ -930,11 +848,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
     from repro.service.top import ServiceTop
 
     top = ServiceTop(
-        ServiceClient(args.url),
+        _client(args),
         stream=sys.stdout,
         interval_seconds=args.interval,
     )
@@ -971,9 +888,7 @@ def _print_session(record: dict) -> None:
 
 
 def _cmd_stream_session(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     record = client.create_session(
         args.graph, seed=args.seed, client=args.client
     )
@@ -982,9 +897,7 @@ def _cmd_stream_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_ls(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     records = client.sessions()
     if not records:
         print("no sessions")
@@ -1003,8 +916,6 @@ def _cmd_stream_ls(args: argparse.Namespace) -> int:
 def _cmd_stream_apply(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
     inserts = _parse_edge_list(args.insert)
     deletes = _parse_edge_list(args.delete)
     if args.file:
@@ -1016,7 +927,7 @@ def _cmd_stream_apply(args: argparse.Namespace) -> int:
         print("error: empty delta -- pass --insert/--delete/--file",
               file=sys.stderr)
         return 1
-    client = ServiceClient(args.url)
+    client = _client(args)
     record = client.apply_delta(
         args.session, inserts=inserts, deletes=deletes
     )
@@ -1029,12 +940,7 @@ def _cmd_stream_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_query(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import TERMINAL_STATES
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     job = client.session_submit(
         args.session,
         workload=args.workload,
@@ -1043,31 +949,11 @@ def _cmd_stream_query(args: argparse.Namespace) -> int:
         client=args.client,
         priority=args.priority,
     )
-    suffix = " (served from cache)" if job.get("cached") else ""
-    print(f"job {job['id']}: {job['state']}{suffix}")
-    if args.wait and job["state"] not in TERMINAL_STATES:
-        job = client.wait(job["id"], timeout=args.wait_timeout)
-        print(f"job {job['id']}: {job['state']}")
-    if job["state"] == "done" and (args.wait or job.get("cached")):
-        payload = client.result(job["id"])
-        print(payload["result"]["summary"])
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(json.dumps(payload, indent=2, sort_keys=True))
-            print(f"wrote {args.json}", file=sys.stderr)
-    if job["state"] == "failed":
-        print(
-            f"error: {job.get('error_type')}: {job.get('error_message')}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _settle(client, job, args)
 
 
 def _cmd_stream_compact(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     record = client.compact_session(args.session)
     print("compacted: ", end="")
     _print_session(record)
@@ -1075,12 +961,127 @@ def _cmd_stream_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_close(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
+    client = _client(args)
     record = client.close_session(args.session)
     _print_session(record)
     return 0
+
+
+_PLACEMENTS = ("interleave", "random", "load_balanced", "locality")
+
+
+def _comma_list(item=str):
+    """An argparse ``type=``: a comma-separated list of ``item``.  Blank
+    items are skipped; a bad item or an empty list is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            items = [item(p.strip()) for p in text.split(",") if p.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad item in {text!r}") from None
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return items
+
+    return parse
+
+
+def _add_seed_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=42,
+                        help="graph generator seed")
+
+
+def _add_graph_args(
+    parser: argparse.ArgumentParser, required: bool = False
+) -> None:
+    parser.add_argument("--graph", default="rmat:14:16", required=required,
+                        help="graph specifier (see --help header)")
+    _add_seed_arg(parser)
+
+
+def _add_scale_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", type=float, default=1 / 256,
+                        help="NOVA capacity scale vs Table II")
+
+
+def _add_nova_args(parser: argparse.ArgumentParser) -> None:
+    _add_scale_arg(parser)
+    parser.add_argument("--placement", default="random", choices=_PLACEMENTS)
+    parser.add_argument("--pr-supersteps", type=int, default=10)
+
+
+def _add_cell_args(
+    parser: argparse.ArgumentParser, workloads=None, gpns: bool = True
+) -> None:
+    parser.add_argument("--workload", default="bfs",
+                        choices=workloads or workload_names())
+    if gpns:
+        parser.add_argument("--gpns", type=int, default=1)
+    parser.add_argument("--source", type=int, default=None,
+                        help="source vertex (default: highest out-degree)")
+
+
+def _add_system_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--system", choices=("nova", "polygraph", "ligra"),
+                        default="nova")
+    parser.add_argument("--onchip", default=None,
+                        help="PolyGraph on-chip size, e.g. 128KiB "
+                             "(default: 32 MiB x --scale)")
+
+
+def _add_timeline_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--timeline", action="store_true",
+                        help="instrument every run with a per-quantum "
+                             "timeline (cached separately; gives "
+                             "`repro report` bottleneck shares)")
+
+
+def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", default=None,
+                        help="run-cache root shared by every front end "
+                             "(default: REPRO_CACHE_DIR or "
+                             "~/.cache/repro-nova)")
+
+
+def _add_client_args(
+    parser: argparse.ArgumentParser, client: bool = False, job: bool = False
+) -> None:
+    """The service client: its URL; with ``client`` the tenant name;
+    with ``job`` also the job's priority and how to wait for it."""
+    parser.add_argument("--url", default="http://127.0.0.1:8734",
+                        help="service base URL")
+    if client or job:
+        parser.add_argument("--client", default="cli",
+                            help="client name for fairness accounting")
+    if job:
+        parser.add_argument("--priority", type=int, default=0,
+                            help="higher runs first")
+        parser.add_argument("--wait", action="store_true",
+                            help="long-poll events until the job settles")
+        parser.add_argument("--wait-timeout", type=float, default=None,
+                            help="give up waiting after this many seconds")
+
+
+def _add_service_args(parser: argparse.ArgumentParser) -> None:
+    """A ``serve`` or ``worker`` process (see :func:`_service`)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="listen port (0 picks a free one)")
+    _add_cache_arg(parser)
+    parser.add_argument("--state-dir", default=None,
+                        help="job-journal directory (default: "
+                             "<cache-dir>/service, or <cache-dir>/worker "
+                             "for a worker)")
+    parser.add_argument("--queue-depth", type=int, default=64,
+                        help="waiting jobs admitted before 429 backpressure")
+    parser.add_argument("--job-workers", type=int, default=1,
+                        help="jobs executed concurrently")
+    parser.add_argument("--run-workers", type=int, default=1,
+                        help="SweepRunner processes per job; >=2 adds "
+                             "per-job process isolation")
+    parser.add_argument("--drain-timeout", type=float, default=30.0,
+                        help="seconds to let running jobs finish on "
+                             "SIGTERM before giving up")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1091,60 +1092,33 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a workload")
-    run.add_argument("--system", choices=("nova", "polygraph", "ligra"),
-                     default="nova")
-    run.add_argument("--workload", choices=("bfs", "cc", "sssp", "pr", "bc"),
-                     default="bfs")
-    run.add_argument("--graph", default="rmat:14:16",
-                     help="graph specifier (see --help header)")
-    run.add_argument("--gpns", type=int, default=1)
-    run.add_argument("--scale", type=float, default=1 / 256,
-                     help="capacity scale vs Table II")
-    run.add_argument("--placement", default="random",
-                     choices=("interleave", "random", "load_balanced",
-                              "locality"))
+    _add_graph_args(run)
+    _add_cell_args(run)
+    _add_system_args(run)
+    _add_nova_args(run)
     run.add_argument("--vmu-mode", default="tracker",
                      choices=("tracker", "fifo"))
-    run.add_argument("--onchip", default=None,
-                     help="PolyGraph on-chip size, e.g. 128KiB")
-    run.add_argument("--source", type=int, default=None,
-                     help="source vertex (default: highest out-degree)")
-    run.add_argument("--pr-supersteps", type=int, default=10)
-    run.add_argument("--seed", type=int, default=42)
     run.add_argument("--verify", action="store_true",
                      help="check results against the sequential oracle "
                           "(runs uncached)")
     run.add_argument("--no-cache", action="store_true",
                      help="recompute even if the run cache has this spec")
-    run.add_argument("--cache-dir", default=None,
-                     help="run-cache root (default: REPRO_CACHE_DIR or "
-                          "~/.cache/repro-nova)")
+    _add_cache_arg(run)
     run.set_defaults(func=_cmd_run)
 
     def add_grid_args(parser: argparse.ArgumentParser) -> None:
         """The sweep-grid arguments `sweep` and `report` must share --
         `report` rebuilds the same grid to recompute the cache keys."""
-        parser.add_argument("--graph", default="rmat:14:16",
-                            help="graph specifier (see --help header)")
-        parser.add_argument("--workloads", default="bfs",
+        _add_graph_args(parser)
+        parser.add_argument("--workloads", default="bfs", type=_comma_list(),
                             help="comma-separated, e.g. bfs,sssp,pr")
-        parser.add_argument("--gpns", default="1",
+        parser.add_argument("--gpns", default="1", type=_comma_list(int),
                             help="comma-separated GPN counts, e.g. 1,2,4,8")
         parser.add_argument("--sources", type=int, default=4,
                             help="sampled sources per traversal workload")
-        parser.add_argument("--scale", type=float, default=1 / 256)
-        parser.add_argument("--placement", default="random",
-                            choices=("interleave", "random", "load_balanced",
-                                     "locality"))
-        parser.add_argument("--pr-supersteps", type=int, default=10)
-        parser.add_argument("--seed", type=int, default=42)
-        parser.add_argument("--timeline", action="store_true",
-                            help="instrument every run with a per-quantum "
-                                 "timeline (cached separately; gives "
-                                 "`repro report` bottleneck shares)")
-        parser.add_argument("--cache-dir", default=None,
-                            help="run-cache root (default: REPRO_CACHE_DIR "
-                                 "or ~/.cache/repro-nova)")
+        _add_nova_args(parser)
+        _add_timeline_arg(parser)
+        _add_cache_arg(parser)
 
     sweep = sub.add_parser(
         "sweep",
@@ -1175,6 +1149,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_grid_args(rep)
     rep.add_argument("--group-by", default="workload,graph,gpns",
+                     type=_comma_list(),
                      help="comma-separated grouping dimensions "
                           "(workload, graph, gpns, source)")
     rep.add_argument("--z-threshold", type=float, default=3.0,
@@ -1190,20 +1165,9 @@ def make_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one instrumented NOVA simulation and attribute its time",
     )
-    prof.add_argument("--workload", choices=("bfs", "cc", "sssp", "pr", "bc"),
-                      default="bfs")
-    prof.add_argument("--graph", default="rmat:12:8",
-                      help="graph specifier (see --help header)")
-    prof.add_argument("--gpns", type=int, default=1)
-    prof.add_argument("--scale", type=float, default=1 / 256,
-                      help="capacity scale vs Table II")
-    prof.add_argument("--placement", default="random",
-                      choices=("interleave", "random", "load_balanced",
-                               "locality"))
-    prof.add_argument("--source", type=int, default=None,
-                      help="source vertex (default: highest out-degree)")
-    prof.add_argument("--pr-supersteps", type=int, default=10)
-    prof.add_argument("--seed", type=int, default=42)
+    _add_graph_args(prof)
+    _add_cell_args(prof)
+    _add_nova_args(prof)
     prof.add_argument("--timeline-capacity", type=int, default=4096,
                       help="ring-buffer quanta kept in the timeline")
     prof.add_argument("--phase-every", type=int, default=16,
@@ -1215,30 +1179,13 @@ def make_parser() -> argparse.ArgumentParser:
                            "JSON on stdout (rendered view moves to "
                            "stderr); --json PATH: write the full payload "
                            "(report + timeline + phases) to PATH")
-    prof.set_defaults(func=_cmd_profile)
+    prof.set_defaults(func=_cmd_profile, graph="rmat:12:8")
 
     serve = sub.add_parser(
         "serve",
         help="run the async job service (submit simulations over HTTP)",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8734,
-                       help="listen port (0 picks a free one)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="run-cache root shared with run/sweep/report")
-    serve.add_argument("--state-dir", default=None,
-                       help="job-journal directory (default: "
-                            "<cache-dir>/service)")
-    serve.add_argument("--queue-depth", type=int, default=64,
-                       help="waiting jobs admitted before 429 backpressure")
-    serve.add_argument("--job-workers", type=int, default=2,
-                       help="jobs executed concurrently")
-    serve.add_argument("--run-workers", type=int, default=1,
-                       help="SweepRunner processes per job; >=2 adds "
-                            "per-job process isolation")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="seconds to let running jobs finish on "
-                            "SIGTERM before giving up")
+    _add_service_args(serve)
     serve.add_argument("--workers", type=int, default=0,
                        help="spawn N local fleet workers sharing this "
                             "coordinator's run cache (0 = run jobs "
@@ -1263,7 +1210,7 @@ def make_parser() -> argparse.ArgumentParser:
                             "claims up to this many queued jobs sharing "
                             "one graph and runs them as a single sweep "
                             "(1 disables; fleet dispatch unaffected)")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_cmd_serve, port=8734, job_workers=2)
 
     worker = sub.add_parser(
         "worker",
@@ -1271,72 +1218,33 @@ def make_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--coordinator", required=True,
                         help="coordinator base URL to register with")
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="listen port (0 picks a free one)")
+    _add_service_args(worker)
     worker.add_argument("--advertise", default=None,
                         help="URL the coordinator should dial back "
                              "(default: http://<host>:<port>)")
-    worker.add_argument("--cache-dir", default=None,
-                        help="run-cache root; share the coordinator's "
-                             "for zero-copy result hand-off")
-    worker.add_argument("--state-dir", default=None,
-                        help="job-journal directory (default: "
-                             "<cache-dir>/worker)")
-    worker.add_argument("--queue-depth", type=int, default=64)
-    worker.add_argument("--job-workers", type=int, default=1,
-                        help="jobs executed concurrently")
-    worker.add_argument("--run-workers", type=int, default=1,
-                        help="SweepRunner processes per job")
     worker.add_argument("--capacity", type=int, default=1,
                         help="in-flight dispatches advertised to the "
                              "coordinator's router")
     worker.add_argument("--lease", type=float, default=None,
                         help="requested lease seconds (default: the "
                              "coordinator's lease)")
-    worker.add_argument("--drain-timeout", type=float, default=30.0)
     worker.set_defaults(func=_cmd_worker)
-
-    def add_client_args(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--url", default="http://127.0.0.1:8734",
-                            help="service base URL")
 
     submit = sub.add_parser(
         "submit", help="submit one simulation job to a running service"
     )
-    add_client_args(submit)
-    submit.add_argument("--system", choices=("nova", "polygraph", "ligra"),
-                        default="nova")
-    submit.add_argument("--workload",
-                        choices=("bfs", "cc", "sssp", "pr", "bc"),
-                        default="bfs")
-    submit.add_argument("--graph", default="rmat:14:16",
-                        help="graph specifier (see --help header)")
-    submit.add_argument("--gpns", type=int, default=1)
-    submit.add_argument("--scale", type=float, default=1 / 256)
-    submit.add_argument("--placement", default="random",
-                        choices=("interleave", "random", "load_balanced",
-                                 "locality"))
-    submit.add_argument("--source", type=int, default=None)
-    submit.add_argument("--pr-supersteps", type=int, default=10)
-    submit.add_argument("--seed", type=int, default=42)
-    submit.add_argument("--timeline", action="store_true",
-                        help="instrument the run with a per-quantum "
-                             "timeline")
-    submit.add_argument("--client", default="cli",
-                        help="client name for fairness accounting")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher runs first")
-    submit.add_argument("--wait", action="store_true",
-                        help="long-poll events until the job settles")
-    submit.add_argument("--wait-timeout", type=float, default=None,
-                        help="give up waiting after this many seconds")
+    _add_client_args(submit, job=True)
+    _add_graph_args(submit)
+    _add_cell_args(submit)
+    _add_system_args(submit)
+    _add_nova_args(submit)
+    _add_timeline_arg(submit)
     submit.set_defaults(func=_cmd_submit)
 
     status = sub.add_parser(
         "status", help="show service health and the job ledger"
     )
-    add_client_args(status)
+    _add_client_args(status)
     status.add_argument("job", nargs="?", default=None,
                         help="job id for a single-job detail view")
     status.set_defaults(func=_cmd_status)
@@ -1344,7 +1252,7 @@ def make_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser(
         "fetch", help="fetch a completed job's result as JSON"
     )
-    add_client_args(fetch)
+    _add_client_args(fetch)
     fetch.add_argument("job", help="job id")
     fetch.add_argument("--json", default=None,
                        help="write the payload here instead of stdout")
@@ -1367,7 +1275,7 @@ def make_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="live dashboard over a running service"
     )
-    add_client_args(top)
+    _add_client_args(top)
     top.add_argument("--interval", type=float, default=2.0,
                      help="seconds between polls")
     top.add_argument("--iterations", type=int, default=None,
@@ -1385,22 +1293,18 @@ def make_parser() -> argparse.ArgumentParser:
     ssession = ssub.add_parser(
         "session", help="pin a base graph as a resident session"
     )
-    add_client_args(ssession)
-    ssession.add_argument("--graph", default="rmat:14:16",
-                          help="graph specifier (see --help header)")
-    ssession.add_argument("--seed", type=int, default=42)
-    ssession.add_argument("--client", default="cli",
-                          help="client name for fairness accounting")
+    _add_client_args(ssession, client=True)
+    _add_graph_args(ssession)
     ssession.set_defaults(func=_cmd_stream_session)
 
     sls = ssub.add_parser("ls", help="list resident sessions")
-    add_client_args(sls)
+    _add_client_args(sls)
     sls.set_defaults(func=_cmd_stream_ls)
 
     sapply = ssub.add_parser(
         "apply", help="append one edge-delta batch to a session"
     )
-    add_client_args(sapply)
+    _add_client_args(sapply)
     sapply.add_argument("session", help="session id")
     sapply.add_argument("--insert", default=None,
                         help="edges to insert, e.g. 1:2,3:4")
@@ -1413,35 +1317,29 @@ def make_parser() -> argparse.ArgumentParser:
     squery = ssub.add_parser(
         "query", help="run a workload against the session's current version"
     )
-    add_client_args(squery)
+    _add_client_args(squery, job=True)
     squery.add_argument("session", help="session id")
-    squery.add_argument("--workload", choices=("bfs", "cc", "pr"),
-                        default="pr")
+    # repro.stream.session.STREAM_WORKLOADS, not imported: the stream
+    # engine loads only where sessions are served.
+    _add_cell_args(squery, workloads=("bfs", "cc", "pr"), gpns=False)
     squery.add_argument("--mode", choices=("incremental", "cold"),
                         default="incremental",
                         help="incremental reuses resident state; cold "
                              "recomputes on the materialized graph")
-    squery.add_argument("--source", type=int, default=None,
-                        help="bfs source (default: highest out-degree)")
-    squery.add_argument("--client", default="cli")
-    squery.add_argument("--priority", type=int, default=0)
-    squery.add_argument("--wait", action="store_true",
-                        help="long-poll events until the job settles")
-    squery.add_argument("--wait-timeout", type=float, default=None)
     squery.add_argument("--json", default=None,
                         help="write the result payload here")
-    squery.set_defaults(func=_cmd_stream_query)
+    squery.set_defaults(func=_cmd_stream_query, workload="pr")
 
     scompact = ssub.add_parser(
         "compact",
         help="merge a session's deltas into a fresh published CSR",
     )
-    add_client_args(scompact)
+    _add_client_args(scompact)
     scompact.add_argument("session", help="session id")
     scompact.set_defaults(func=_cmd_stream_compact)
 
     sclose = ssub.add_parser("close", help="close a session")
-    add_client_args(sclose)
+    _add_client_args(sclose)
     sclose.add_argument("session", help="session id")
     sclose.set_defaults(func=_cmd_stream_close)
 
@@ -1460,16 +1358,14 @@ def make_parser() -> argparse.ArgumentParser:
         "build",
         help="prebuild a graph artifact so later runs map instead of build",
     )
-    gbuild.add_argument("--graph", required=True,
-                        help="graph specifier (see --help header)")
-    gbuild.add_argument("--seed", type=int, default=42)
-    gbuild.add_argument("--scale", type=float, default=None,
+    _add_graph_args(gbuild, required=True)
+    gbuild.add_argument("--suite-scale", type=float, default=None,
                         help="suite: graph scale (default: suite default)")
     gbuild.add_argument("--weighted", action="store_true",
                         help="attach uniform edge weights (the sssp variant)")
     gbuild.add_argument("--symmetrized", action="store_true",
                         help="symmetrize edges (the cc variant)")
-    gbuild.add_argument("--workloads", default=None,
+    gbuild.add_argument("--workloads", default=None, type=_comma_list(),
                         help="comma-separated workload list; builds the "
                              "exact per-workload variants a sweep over "
                              "these workloads will map (overrides "
@@ -1495,13 +1391,13 @@ def make_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, help="graph specifier")
     gen.add_argument("--out", required=True, help=".npz / .gr / .txt path")
     gen.add_argument("--weights", action="store_true")
-    gen.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(gen)
     gen.set_defaults(func=_cmd_generate)
 
     info = sub.add_parser("info", help="print the system configuration")
     info.add_argument("--gpns", type=int, default=1)
-    info.add_argument("--scale", type=float, default=1.0)
-    info.set_defaults(func=_cmd_info)
+    _add_scale_arg(info)
+    info.set_defaults(func=_cmd_info, scale=1.0)
 
     res = sub.add_parser("resources", help="Table IV terascale sizing")
     res.set_defaults(func=_cmd_resources)
@@ -1510,10 +1406,9 @@ def make_parser() -> argparse.ArgumentParser:
         "validate",
         help="run every workload on every engine and check the oracles",
     )
-    val.add_argument("--graph", default="rmat:11:8", help="graph specifier")
-    val.add_argument("--scale", type=float, default=1 / 256)
-    val.add_argument("--seed", type=int, default=42)
-    val.set_defaults(func=_cmd_validate)
+    _add_graph_args(val)
+    _add_scale_arg(val)
+    val.set_defaults(func=_cmd_validate, graph="rmat:11:8")
     return parser
 
 

@@ -99,6 +99,14 @@ def sample_sources(
     return rng.choice(candidates, size=count, replace=replace)
 
 
+#: System class name -> ``RunSpec.system`` for runner-backed trials.
+_RUNNER_SYSTEMS = {
+    "NovaSystem": "nova",
+    "PolyGraphSystem": "polygraph",
+    "LigraModel": "ligra",
+}
+
+
 class ExperimentHarness:
     """Run one workload repeatedly over sampled sources and aggregate.
 
@@ -136,39 +144,26 @@ class ExperimentHarness:
         """Describe one ``system.run`` call as a cacheable RunSpec."""
         from repro.runner.spec import RunSpec
 
-        system = self.system
-        kind = type(system).__name__
-        if kind == "NovaSystem":
-            return RunSpec(
-                workload,
-                self.graph,
-                config=system.config,
-                system="nova",
-                source=source,
-                placement=system.placement,
-                workload_kwargs=dict(workload_kwargs),
-                obs=self.obs,
+        kind = type(self.system).__name__
+        system = _RUNNER_SYSTEMS.get(kind)
+        if system is None:
+            raise ConfigError(
+                f"runner-backed harness does not know system {kind!r}"
             )
-        if kind == "PolyGraphSystem":
-            return RunSpec(
-                workload,
-                self.graph,
-                config=system.config,
-                system="polygraph",
-                source=source,
-                workload_kwargs=dict(workload_kwargs),
-            )
-        if kind == "LigraModel":
-            return RunSpec(
-                workload,
-                self.graph,
-                config=system.config,
-                system="ligra",
-                source=source,
-                workload_kwargs=dict(workload_kwargs),
-            )
-        raise ConfigError(
-            f"runner-backed harness does not know system {kind!r}"
+        # Placement and instrumentation are NOVA's alone.
+        nova = (
+            {"placement": self.system.placement, "obs": self.obs}
+            if system == "nova"
+            else {}
+        )
+        return RunSpec(
+            workload,
+            self.graph,
+            config=self.system.config,
+            system=system,
+            source=source,
+            workload_kwargs=dict(workload_kwargs),
+            **nova,
         )
 
     def _recorder_kwargs(self) -> dict:

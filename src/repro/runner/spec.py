@@ -58,6 +58,20 @@ class GraphSpec:
     symmetrized: bool = False
     weight_seed: int = _DEFAULT_WEIGHT_SEED
 
+    @classmethod
+    def for_workload(cls, spec: str, workload: str, **fields) -> "GraphSpec":
+        """The variant of ``spec`` that ``workload`` runs on.
+
+        The one rule every front end shares: sssp runs on the weighted
+        graph, cc on the symmetrized one, everything else on the base.
+        """
+        return cls(
+            spec,
+            weighted=(workload == "sssp"),
+            symmetrized=(workload == "cc"),
+            **fields,
+        )
+
     def build(self, store: Optional["GraphStore"] = None) -> CSRGraph:
         """Materialize the graph: memo, then artifact store, then build.
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import JobSpecError, JobStateError, UnknownJobError
+from repro.obs.config import ObsConfig
 from repro.runner.spec import (
     SOURCELESS_WORKLOADS,
     GraphSpec,
@@ -204,9 +205,9 @@ class JobSpec:
         """Lower to a :class:`RunSpec` with the source resolved.
 
         Builds the graph (memoized per process) when the default source
-        must be resolved; system configs are constructed exactly the
-        way the CLI constructs them, so keys line up with ``repro
-        run`` / ``repro sweep``.
+        must be resolved.  ``repro run``, ``profile``, ``submit`` and
+        every ``sweep`` / ``report`` cell lower through this method
+        too, so one cell has one cache key whichever front end runs it.
 
         Session jobs lower differently: the graph stays a bare recipe
         (never built -- the overlay is resident at the service), the
@@ -227,11 +228,8 @@ class JobSpec:
                 },
                 graph_digest=self.graph_digest,
             )
-        gspec = GraphSpec(
-            self.graph,
-            seed=self.seed,
-            weighted=(self.workload == "sssp"),
-            symmetrized=(self.workload == "cc"),
+        gspec = GraphSpec.for_workload(
+            self.graph, self.workload, seed=self.seed
         )
         source = self.source
         if self.workload in SOURCELESS_WORKLOADS:
@@ -245,22 +243,18 @@ class JobSpec:
             config = scaled_config(num_gpns=self.gpns, scale=self.scale)
         elif self.system == "polygraph":
             from repro.baselines.polygraph import PolyGraphConfig
-            from repro.units import MiB, parse_size
+            from repro.graph.suites import scaled_onchip_bytes
+            from repro.units import parse_size
 
             if self.onchip is not None:
                 onchip = parse_size(self.onchip)
             else:
-                onchip = int(32 * MiB * self.scale)
+                onchip = scaled_onchip_bytes(self.scale)
             config = PolyGraphConfig(onchip_bytes=onchip)
         elif self.system == "ligra":
             from repro.baselines.ligra import LigraConfig
 
             config = LigraConfig()
-        obs = None
-        if self.timeline:
-            from repro.obs.config import ObsConfig
-
-            obs = ObsConfig(timeline=True)
         return RunSpec(
             self.workload,
             gspec,
@@ -271,7 +265,7 @@ class JobSpec:
             placement_seed=self.placement_seed,
             max_quanta=self.max_quanta,
             workload_kwargs=dict(self.workload_kwargs),
-            obs=obs,
+            obs=ObsConfig(timeline=True) if self.timeline else None,
         )
 
 

@@ -388,7 +388,7 @@ class TestVariants:
         chosen = GraphStore(str(tmp_path / "chosen"))
         assert main([
             "graph", "build", "--graph", "suite:twitter", "--seed", "3",
-            "--scale", str(1 / 8192), "--workloads", "sssp,cc",
+            "--suite-scale", str(1 / 8192), "--workloads", "sssp,cc",
             "--store-dir", chosen.root,
         ]) == 0
         assert len(generator_calls) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import _job_spec, _sweep_grid, main, make_parser
 from repro.errors import ReproError
 from repro.graph import io as graph_io
 from repro.graph.generators import rmat
@@ -91,8 +91,17 @@ class TestCommands:
         assert main(["run", "--graph", "rmat:10:8", "--workload", "bfs",
                      "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "nova/bfs" in out
+        assert "uncached nova/bfs" in out
+        assert "workeff=" in out  # the oracle's reference edge count
         assert "verified" in out
+
+    @pytest.mark.parametrize("system", ["polygraph", "ligra"])
+    def test_run_verify_baselines(self, system, capsys):
+        assert main(["run", "--system", system, "--graph", "rmat:9:8",
+                     "--workload", "sssp", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert f"uncached {system}/sssp" in out
+        assert "workeff=" in out and "verified" in out
 
     def test_run_polygraph(self, tmp_path, capsys):
         assert main(["run", "--system", "polygraph", "--graph", "rmat:10:8",
@@ -327,3 +336,186 @@ class TestCommands:
                      "--cache-dir", str(tmp_path),
                      "--group-by", "seed"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCommaLists:
+    """``--workloads``, a grid's ``--gpns``, ``--group-by`` and ``graph
+    build --workloads`` share one argparse type: bad or empty lists are
+    usage errors (exit 2), never a traceback or an empty run."""
+
+    GRID = ["--graph", "rmat:9:8", "--sources", "1", "--cache-dir"]
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_bad_gpns_item(self, tmp_path, capsys):
+        err = self._usage_error(
+            ["sweep", *self.GRID, str(tmp_path), "--gpns", "1,x"], capsys
+        )
+        assert "argument --gpns" in err and "'1,x'" in err
+
+    def test_blank_items_are_skipped(self):
+        args = make_parser().parse_args(
+            ["report", "--gpns", "1,", "--workloads", " bfs , pr,"]
+        )
+        assert args.gpns == [1]
+        assert args.workloads == ["bfs", "pr"]
+
+    def test_empty_workloads(self, tmp_path, capsys):
+        err = self._usage_error(
+            ["sweep", *self.GRID, str(tmp_path), "--workloads", " ,"],
+            capsys,
+        )
+        assert "argument --workloads: empty list" in err
+        assert not any(tmp_path.iterdir())  # no grid ran
+
+    def test_empty_group_by(self, tmp_path, capsys):
+        err = self._usage_error(
+            ["report", *self.GRID, str(tmp_path), "--group-by", ","], capsys
+        )
+        assert "argument --group-by: empty list" in err
+
+    def test_empty_graph_build_workloads(self, capsys):
+        err = self._usage_error(
+            ["graph", "build", "--graph", "rmat:8:8", "--workloads", ""],
+            capsys,
+        )
+        assert "argument --workloads: empty list" in err
+
+    def test_unknown_workload_is_refused_by_the_job_spec(
+        self, tmp_path, capsys
+    ):
+        # Refused before its graph (here one that cannot build) is built.
+        assert main(["sweep", *self.GRID, str(tmp_path),
+                     "--workloads", "nope", "--graph", "nope:1"]) == 1
+        assert "unknown workload 'nope'" in capsys.readouterr().err
+
+
+class TestSharedFlags:
+    def test_defaults_that_differ_per_command(self):
+        parser = make_parser()
+        parse = parser.parse_args
+        assert parse(["run"]).graph == "rmat:14:16"
+        assert parse(["profile"]).graph == "rmat:12:8"
+        assert parse(["validate"]).graph == "rmat:11:8"
+        serve = parse(["serve"])
+        assert (serve.port, serve.job_workers) == (8734, 2)
+        worker = parse(["worker", "--coordinator", "http://x"])
+        assert (worker.port, worker.job_workers) == (0, 1)
+        assert parse(["info"]).scale == 1.0
+        assert parse(["stream", "query", "s-1"]).workload == "pr"
+
+    def test_each_shared_flag_is_declared_once(self):
+        """Every knob two commands share has one ``add_argument``."""
+        import ast
+        import collections
+
+        import repro.cli
+
+        with open(repro.cli.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        declared = collections.Counter(
+            node.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        )
+        shared = [
+            "--graph", "--seed", "--workload", "--source", "--system",
+            "--onchip", "--scale", "--placement", "--pr-supersteps",
+            "--timeline", "--cache-dir", "--url", "--client", "--priority",
+            "--wait", "--wait-timeout", "--host", "--port", "--state-dir",
+            "--queue-depth", "--job-workers", "--run-workers",
+            "--drain-timeout",
+        ]
+        assert {flag: declared[flag] for flag in shared} == dict.fromkeys(
+            shared, 1
+        )
+
+
+class TestGoldenKeys:
+    """One cell, one cache key, whichever front end lowers it.
+
+    The literal keys were computed by the ``repro run`` and ``repro
+    sweep`` code that predates the shared :func:`repro.cli._job_spec`
+    lowering (with the graph store off); ``run``, ``submit`` and the
+    sweep grid must all still produce them.
+    """
+
+    GRAPH = ["--graph", "rmat:9:8"]
+    CELLS = {
+        "--workload bfs":
+            "f6c44e30e7f184e0c2b6d07d4bb9c3883c6fc54cab91f203005a6d3b2d99dfcc",
+        "--workload sssp --gpns 2":
+            "1727b0d85bcc3a1366274c7530f12c773bd1d7f1fa09be1920e4ce89aa91ca33",
+        "--workload pr --pr-supersteps 3":
+            "35af6eb8e60ec5251fbf0a3b3d5374cacf983784f446e5867c48f51549377792",
+        "--workload cc --system polygraph --onchip 2KiB":
+            "2e7e3e0734bbc59fd4120a1d9aff3d108bebee9f4587535968b88ba742dc024e",
+        "--workload bc --system ligra --source 3":
+            "e3276c7e64b9a94cf897d6d61b18cde0951497cb41a09e9e1a0e0467fd016ede",
+        "--workload sssp --placement locality --seed 7 --scale 0.0078125":
+            "28e32959d6ccf991b31b57a51580229e60d91316a82de71be55a325759a71b2c",
+        "--workload pr --system polygraph":
+            "861829145138084299901cb383a03afa8aa2ddbef933f4b37d3d60110fbdd275",
+    }
+    #: ``run`` only: --vmu-mode is applied to the lowered NOVA config.
+    RUN_ONLY = {
+        "--workload bfs --vmu-mode fifo":
+            "9d1c3c85a3e5fc35fda437a278d03322a3e43ffc1f7ba00f6b0b1e63fc42f6dd",
+    }
+    SWEEPS = {
+        "--workloads bfs,pr --gpns 1,2 --sources 2 --timeline": {
+            ("bfs", 1, 46):
+                "e9f416d75ddaf8a0dfbc920ba36104015a5cc7a009476f92f50392054acd782f",
+            ("bfs", 1, 393):
+                "442e55540ab217e383d3fa2a47a7ab61afe5fbcd324257fd842b1d99d05746a4",
+            ("bfs", 2, 46):
+                "1b242907a80bb3fdd7d8bf7cc18b9e977426b89676c478c51e5675d34d587a19",
+            ("bfs", 2, 393):
+                "22632211823cde401fed3cbf7afcd2273ebde935e575664657649ada7745cbfc",
+            ("pr", 1, None):
+                "c25cc9f331590d567c3bb3296e9c5e64eb6f04d7026e7ff8e0d0ab470ccccc70",
+            ("pr", 2, None):
+                "1c1393380d2dc4bb1d50410246d91fea992ec49687908cee68dcc0894be9ad5c",
+        },
+        "--workloads sssp,cc --gpns 2 --sources 1 --seed 5 "
+        "--placement interleave": {
+            ("sssp", 2, 346):
+                "979ccf3d6c04693268c24dc2be77a1b9cbfed3e651d14fd456c9d09176d5f4a5",
+            ("cc", 2, None):
+                "345db2141193788effd991c8590bf30a34d5a57114443259947511254fe736fd",
+        },
+    }
+
+    @pytest.mark.parametrize("cell", [*CELLS, *RUN_ONLY])
+    def test_run(self, cell, tmp_path, capsys):
+        """``repro run`` stores its result under the golden key."""
+        key = {**self.CELLS, **self.RUN_ONLY}[cell]
+        assert main(["run", *self.GRAPH, *cell.split(),
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert f"cache miss {key[:12]}" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.glob("*/*.pkl")] == [key + ".pkl"]
+
+    @pytest.mark.parametrize("cell", list(CELLS))
+    def test_submit(self, cell):
+        from repro.runner import spec_key
+        from repro.service.store import JobSpec
+
+        args = make_parser().parse_args(["submit", *self.GRAPH, *cell.split()])
+        # What the service lowers is the JSON the client posts.
+        job = JobSpec.from_dict(_job_spec(args).to_dict())
+        assert spec_key(job.to_run_spec()) == self.CELLS[cell]
+
+    @pytest.mark.parametrize("grid", list(SWEEPS))
+    def test_sweep_grid(self, grid):
+        from repro.runner import spec_key
+
+        args = make_parser().parse_args(["sweep", *self.GRAPH, *grid.split()])
+        specs, rows = _sweep_grid(args)
+        assert dict(zip(rows, map(spec_key, specs))) == self.SWEEPS[grid]
